@@ -19,6 +19,7 @@ from .friedrichs import (
     full_bound,
     mikhlin_bound,
     semidef_bound,
+    sharp_bound,
 )
 from .majorant import MajorantBreakdown, evaluate_majorant, run_refinement_experiment
 from .maxwell import (

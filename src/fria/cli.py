@@ -16,14 +16,17 @@ import sys
 from . import friedrichs, majorant, maxwell, oracle
 from .fem import SolverError
 from .mesh import MeshError, build_lshape, build_unit_square
-from .weights import (
-    DiagonalWeight,
-    DInterval,
-    FullWeight,
-    WeightError,
-    parse_weight,
-    tilde_reduction,
-)
+from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
+
+# --method name -> Friedrichs formula; also the argparse choices
+_FRIEDRICHS_FORMULAS = {
+    "auto": friedrichs.best_bound,
+    "mikhlin": lambda box, w: friedrichs.mikhlin_bound(box),
+    "coarse": friedrichs.coarse_bound,
+    "thmA": friedrichs.diagonal_bound,
+    "thmA2": friedrichs.full_bound,
+    "semidef": friedrichs.semidef_bound,
+}
 
 
 class UsageError(ValueError):
@@ -49,11 +52,12 @@ def _parse_lengths(text):
 def _parse_levels(text):
     lo, sep, hi = text.partition(":")
     try:
-        if sep:
-            return list(range(int(lo), int(hi) + 1))
-        return [int(lo)]
+        levels = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
     except ValueError:
         raise UsageError(f"--levels must be N or LO:HI, got {text!r}") from None
+    if not levels:
+        raise UsageError(f"--levels range {text!r} is empty")
+    return levels
 
 
 def _weight_flag(text, flag):
@@ -92,6 +96,13 @@ def _csv_table(deltas, rows):
     return "\n".join(lines) + "\n"
 
 
+def _report_json(report):
+    payload = {"method": report.method, "value": report.value, "inputs": report.inputs}
+    if report.seminorm:
+        payload["seminorm"] = True
+    return json.dumps(_jsonify(payload)) + "\n"
+
+
 def _cmd_bounds_friedrichs(args):
     box = _parse_lengths(args.lengths)
     weight = _weight_flag(args.weight, "--weight") if args.weight else DiagonalWeight((1.0,) * box.d)
@@ -99,29 +110,7 @@ def _cmd_bounds_friedrichs(args):
         raise UsageError(
             f"--lengths is {box.d}-dimensional but --weight is {weight.d}-dimensional"
         )
-    method = args.method
-    if method == "auto":
-        report = friedrichs.best_bound(box, weight)
-    elif method == "mikhlin":
-        report = friedrichs.mikhlin_bound(box)
-    elif method == "coarse":
-        report = friedrichs.coarse_bound(box, weight)
-    elif method == "thmA":
-        if isinstance(weight, FullWeight) and weight.is_diagonal:
-            weight = weight.diagonal_part()
-        report = friedrichs.diagonal_bound(box, weight)
-    elif method == "thmA2":
-        report = friedrichs.full_bound(box, weight)
-    else:
-        diag = tilde_reduction(weight) if isinstance(weight, FullWeight) else weight
-        report = friedrichs.semidef_bound(box, diag)
-        if diag is not weight:
-            inputs = dict(box.digest(), weight=weight.digest())
-            report = friedrichs.BoundReport(report.value, "semidef", inputs, seminorm=True)
-    payload = {"method": report.method, "value": report.value, "inputs": report.inputs}
-    if report.seminorm:
-        payload["seminorm"] = True
-    return json.dumps(_jsonify(payload)) + "\n"
+    return _report_json(_FRIEDRICHS_FORMULAS[args.method](box, weight))
 
 
 def _cmd_bounds_maxwell(args):
@@ -132,15 +121,10 @@ def _cmd_bounds_maxwell(args):
     except WeightError as exc:
         raise UsageError(str(exc)) from None
     if args.method == "coarse":
-        report = maxwell.maxwell_coarse(inp)
-    elif isinstance(eps, DiagonalWeight):
-        report = maxwell.maxwell_diagonal(inp)
-    else:
-        report = maxwell.maxwell_full(inp)
-    payload = {"method": report.method, "value": report.value, "inputs": report.inputs}
-    if report.seminorm:
-        payload["seminorm"] = True
-    return json.dumps(_jsonify(payload)) + "\n"
+        return _report_json(maxwell.maxwell_coarse(inp))
+    if isinstance(eps, DiagonalWeight):
+        return _report_json(maxwell.maxwell_diagonal(inp))
+    return _report_json(maxwell.maxwell_full(inp))
 
 
 def _cmd_table(args):
@@ -205,11 +189,7 @@ def _cmd_oracle(args):
     if alpha.d != 2:
         raise UsageError("--alpha must be 2-dimensional")
     estimate = oracle.estimate_cfa(mesh, alpha)
-    box = DInterval((1.0, 1.0))
-    if isinstance(alpha, DiagonalWeight):
-        bound = friedrichs.diagonal_bound(box, alpha).value
-    else:
-        bound = friedrichs.best_bound(box, alpha).value
+    bound = friedrichs.best_bound(DInterval((1.0, 1.0)), alpha).value
     payload = {
         "lambda_min": estimate.lambda_min,
         "c_estimate": estimate.c_estimate,
@@ -240,7 +220,7 @@ def build_parser():
     bf.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "mikhlin", "coarse", "thmA", "thmA2", "semidef"],
+        choices=list(_FRIEDRICHS_FORMULAS),
     )
     bf.add_argument("--out", help="output path (default stdout)")
     bm = bsub.add_parser("maxwell")
@@ -249,7 +229,6 @@ def build_parser():
     bm.add_argument("--diam", type=float, help="domain diameter (default box diagonal)")
     bm.add_argument("--eps-max", type=float, dest="eps_max", help="largest eigenvalue override")
     bm.add_argument("--method", default="auto", choices=["auto", "coarse"])
-    bm.add_argument("--convex", action="store_true", help="assert the domain is convex")
     bm.add_argument("--out", help="output path (default stdout)")
 
     table = sub.add_parser("table", help="reference value grid as CSV")

@@ -7,34 +7,14 @@ definite.  The solver is conjugate gradients with a Jacobi preconditioner
 and a deterministic, fixed-order accumulation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .weights import DiagonalWeight
-
 
 class SolverError(RuntimeError):
     """Iterative solve failed (non-convergence or indefinite system)."""
-
-
-@dataclass
-class SparseSystem:
-    """Symmetric sparse system in triplet form over the free vertices."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    dim: int
-    _csr: object = field(default=None, repr=False)
-
-    def tocsr(self):
-        if self._csr is None:
-            self._csr = sp.coo_matrix(
-                (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-            ).tocsr()
-        return self._csr
 
 
 @dataclass
@@ -48,12 +28,6 @@ class P1Solution:
     residual: float = 0.0
 
 
-def _weight_matrix(alpha):
-    if isinstance(alpha, DiagonalWeight):
-        return np.diag(alpha.entries)
-    return np.asarray(alpha.matrix, dtype=float)
-
-
 def nodal_gradients(mesh, values):
     """Per-triangle gradient of the P1 interpolant of nodal values."""
     return np.einsum("tj,tjx->tx", values[mesh.triangles], mesh.grads)
@@ -61,7 +35,7 @@ def nodal_gradients(mesh, values):
 
 def assemble_stiffness(mesh, alpha):
     """Full (Neumann) stiffness with entries int_T (alpha grad phi_j) . grad phi_i."""
-    a = _weight_matrix(alpha)
+    a = np.asarray(alpha.matrix, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("diffusion assembly needs a 2x2 weight")
     # local matrices |T| G alpha G^T, symmetrized to make the triplet
@@ -93,20 +67,20 @@ def lumped_load(mesh, nodal_f):
 
 
 def reduce_system(matrix, mesh):
-    """Eliminate boundary rows/columns; returns the triplet system."""
+    """Eliminate boundary rows/columns; returns the CSR system over the
+    interior vertices."""
     free = mesh.interior_vertices
-    reduced = matrix[free][:, free].tocoo()
-    return SparseSystem(reduced.row, reduced.col, reduced.data, len(free))
+    return matrix[free][:, free]
 
 
-def conjugate_gradients(system, b, rtol=1e-10, maxiter=None):
-    """Jacobi-preconditioned CG to a relative residual of ``rtol``.
+def conjugate_gradients(a, b, rtol=1e-10, maxiter=None):
+    """Jacobi-preconditioned CG on the CSR matrix ``a`` to a relative
+    residual of ``rtol``.
 
     Raises :class:`SolverError` on non-convergence or if a search
     direction sees nonpositive curvature (indefinite matrix).
     """
-    a = system.tocsr()
-    n = system.dim
+    n = a.shape[0]
     if maxiter is None:
         maxiter = 10 * n
     norm_b = np.linalg.norm(b)
@@ -146,7 +120,7 @@ def solve_dirichlet(mesh, alpha, load, rtol=1e-10):
     x, iters = conjugate_gradients(system, b, rtol=rtol)
     values = np.zeros(mesh.num_vertices)
     values[free] = x
-    res = np.linalg.norm(b - system.tocsr() @ x)
+    res = np.linalg.norm(b - system @ x)
     scale = np.linalg.norm(b)
     rel = res / scale if scale > 0.0 else 0.0
     return P1Solution(mesh, values, nodal_gradients(mesh, values), iters, rel)
@@ -161,6 +135,6 @@ def solve_diffusion(mesh, alpha, f):
 
 def energy_norm(solution, alpha):
     """Weighted energy norm sqrt(sum_T |T| g^T alpha g), exact for P1."""
-    a = _weight_matrix(alpha)
+    a = np.asarray(alpha.matrix, dtype=float)
     g = solution.gradients
     return float(np.sqrt(np.einsum("t,ta,ab,tb->", solution.mesh.areas, g, a, g)))

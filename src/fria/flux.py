@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import _weight_matrix
 from .quadrature import MIDPOINT3
 
 
@@ -29,7 +28,7 @@ def rt_average(solution, alpha):
     components; boundary edges take the one-sided trace.
     """
     mesh = solution.mesh
-    a = _weight_matrix(alpha)
+    a = np.asarray(alpha.matrix, dtype=float)
     flux = solution.gradients @ a.T
     adj = mesh.edge_tris
     qn = np.einsum("ekx,ex->ek", flux[adj], mesh.edge_normals)
@@ -76,7 +75,7 @@ def defect_norm(field, solution, alpha):
     edge-midpoint rule integrates it exactly.
     """
     mesh = field.mesh
-    a = _weight_matrix(alpha)
+    a = np.asarray(alpha.matrix, dtype=float)
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if det == 0.0:
         raise ValueError("weight matrix is singular")

@@ -19,10 +19,8 @@ from .weights import (
     tilde_reduction,
 )
 
-METHODS = ("mikhlin", "coarse", "thmA", "thmA2", "semidef", "directional")
-
-# tie-break order for best_bound at equal values
-_METHOD_RANK = {"thmA": 0, "thmA2": 1, "semidef": 2, "coarse": 3, "mikhlin": 4}
+# in the order best_bound prefers at equal values
+METHODS = ("thmA", "thmA2", "semidef", "coarse", "mikhlin")
 
 
 class BoundUnavailable(ValueError):
@@ -85,7 +83,12 @@ def coarse_bound(box, w):
 
 
 def diagonal_bound(box, w):
-    """Per-direction bound 1 / (pi sqrt(sum a_i/l_i^2)) for positive diagonals."""
+    """Per-direction bound 1 / (pi sqrt(sum a_i/l_i^2)) for positive diagonals.
+
+    An exactly diagonal full weight is taken as its diagonal part.
+    """
+    if isinstance(w, FullWeight) and w.is_diagonal:
+        w = w.diagonal_part()
     if not isinstance(w, DiagonalWeight):
         raise WeightError("diagonal bound needs a diagonal weight")
     _check_dims(box, w)
@@ -116,21 +119,23 @@ def full_bound(box, w):
 def semidef_bound(box, w):
     """Diagonal bound summed over the strictly positive directions only.
 
-    Needs a nonnegative diagonal with at least one positive entry.  With
-    exactly one positive entry this is the single-direction bound
-    l_i / (pi sqrt(a_i)).  The report is flagged: dropping directions
-    leaves only a seminorm on the right-hand side.
+    Needs a nonnegative diagonal with at least one positive entry; a full
+    weight is replaced by its tilde reduction first.  With exactly one
+    positive entry this is the single-direction bound l_i / (pi sqrt(a_i)).
+    The report is flagged when directions were dropped or the weight was
+    reduced: the right-hand side is then only a seminorm.
     """
-    if not isinstance(w, DiagonalWeight):
-        raise WeightError("semidef bound needs a diagonal weight")
     _check_dims(box, w)
-    if any(a < 0.0 for a in w.entries):
-        raise BoundUnavailable("semidef bound needs nonnegative entries")
-    s = sum(a / (l * l) for a, l in zip(w.entries, box.lengths) if a > 0.0)
+    d = tilde_reduction(w)
+    if any(a < 0.0 for a in d.entries):
+        raise BoundUnavailable(
+            f"semidef bound needs nonnegative entries, got diag{d.entries}"
+        )
+    s = sum(a / (l * l) for a, l in zip(d.entries, box.lengths) if a > 0.0)
     if s == 0.0:
         raise BoundUnavailable("semidef bound needs at least one positive entry")
     value = 1.0 / (math.pi * math.sqrt(s))
-    seminorm = any(a == 0.0 for a in w.entries)
+    seminorm = d is not w or any(a == 0.0 for a in d.entries)
     return BoundReport(value, "semidef", _digest(box, w), seminorm=seminorm)
 
 
@@ -150,37 +155,40 @@ def directional_bound(length, mode="both_ends"):
     raise ValueError(f"unknown mode {mode!r}, expected 'both_ends' or 'one_end'")
 
 
-def _candidates(box, w):
-    cands = []
-    if isinstance(w, FullWeight) and w.is_diagonal:
-        w = w.diagonal_part()
+def sharp_bound(box, w):
+    """The sharp formula the weight qualifies for.
+
+    Diagonal weights take the per-direction bound, or the semidef bound
+    when an entry is zero; full weights take the tilde-reduced bound when
+    the reduction is positive, else the semidef bound of the reduction.
+    """
     if isinstance(w, DiagonalWeight):
-        if w.uniformly_positive:
-            cands.append(diagonal_bound(box, w))
-        elif all(a >= 0.0 for a in w.entries) and any(a > 0.0 for a in w.entries):
-            cands.append(semidef_bound(box, w))
-    else:
-        t = tilde_reduction(w)
-        if t.uniformly_positive:
-            cands.append(full_bound(box, w))
-        elif all(a >= 0.0 for a in t.entries) and any(a > 0.0 for a in t.entries):
-            rep = semidef_bound(box, t)
-            cands.append(BoundReport(rep.value, "semidef", _digest(box, w), seminorm=True))
-    if smallest_eigenvalue(w) > 0.0:
-        cands.append(coarse_bound(box, w))
-    return cands
+        return semidef_bound(box, w) if 0.0 in w.entries else diagonal_bound(box, w)
+    if tilde_reduction(w).uniformly_positive:
+        return full_bound(box, w)
+    return semidef_bound(box, w)
 
 
 def best_bound(box, w):
-    """Smallest applicable bound; ties prefer thmA > thmA2 > semidef > coarse."""
+    """Smaller of the sharp and the coarse bound; ties follow ``METHODS``.
+
+    An exactly diagonal full weight is routed as its diagonal part.
+    """
     _check_dims(box, w)
-    cands = _candidates(box, w)
+    if isinstance(w, FullWeight) and w.is_diagonal:
+        w = w.diagonal_part()
+    cands = []
+    for formula in (sharp_bound, coarse_bound):
+        try:
+            cands.append(formula(box, w))
+        except BoundUnavailable:
+            pass
     if not cands:
         raise BoundUnavailable(
             "no bound applies: weight is indefinite and its tilde reduction "
             "has no positive direction"
         )
-    return min(cands, key=lambda r: (r.value, _METHOD_RANK[r.method]))
+    return min(cands, key=lambda r: (r.value, METHODS.index(r.method)))
 
 
 def coercivity_threshold(bound, eps):

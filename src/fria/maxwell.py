@@ -9,20 +9,13 @@ verified here.
 import math
 from dataclasses import dataclass
 
-from .friedrichs import (
-    BoundReport,
-    BoundUnavailable,
-    diagonal_bound,
-    semidef_bound,
-)
+from .friedrichs import BoundReport, coarse_bound, sharp_bound
 from .weights import (
     DiagonalWeight,
     DInterval,
     FullWeight,
     WeightError,
     largest_eigenvalue,
-    smallest_eigenvalue,
-    tilde_reduction,
 )
 
 
@@ -51,10 +44,11 @@ class MaxwellInput:
             raise WeightError(
                 f"diameter {diam} exceeds the box diagonal {self.box.diagonal}"
             )
-        eps_max = largest_eigenvalue(self.eps) if self.eps_max is None else float(self.eps_max)
-        if eps_max < smallest_eigenvalue(self.eps):
+        lam_max = largest_eigenvalue(self.eps)
+        eps_max = lam_max if self.eps_max is None else float(self.eps_max)
+        if eps_max < lam_max - 1e-12 * abs(lam_max):
             raise WeightError(
-                f"eps_max {eps_max} is below the smallest permittivity eigenvalue"
+                f"eps_max {eps_max} is below the largest permittivity eigenvalue {lam_max}"
             )
         object.__setattr__(self, "diam", diam)
         object.__setattr__(self, "eps_max", eps_max)
@@ -83,19 +77,18 @@ def maxwell_from_parts(c_feps, eps_max, c_p):
     return max(c_feps, math.sqrt(eps_max) * c_p)
 
 
-def _poincare_arm(inp):
-    return math.sqrt(inp.eps_max) * poincare_convex_bound(inp.diam)
+def _maxwell_report(inp, friedrichs_arm):
+    value = maxwell_from_parts(
+        friedrichs_arm.value, inp.eps_max, poincare_convex_bound(inp.diam)
+    )
+    return BoundReport(
+        value, friedrichs_arm.method, inp.digest(), seminorm=friedrichs_arm.seminorm
+    )
 
 
 def maxwell_coarse(inp):
     """Coarse bound using only the smallest permittivity eigenvalue."""
-    eps_min = smallest_eigenvalue(inp.eps)
-    if eps_min <= 0.0:
-        raise BoundUnavailable(
-            f"coarse Maxwell bound undefined: smallest eigenvalue {eps_min} not positive"
-        )
-    friedrichs_arm = 1.0 / (math.pi * math.sqrt(eps_min * inp.box.inverse_square_sum()))
-    return BoundReport(max(friedrichs_arm, _poincare_arm(inp)), "coarse", inp.digest())
+    return _maxwell_report(inp, coarse_bound(inp.box, inp.eps))
 
 
 def maxwell_diagonal(inp):
@@ -106,35 +99,14 @@ def maxwell_diagonal(inp):
     """
     if not isinstance(inp.eps, DiagonalWeight):
         raise WeightError("maxwell_diagonal needs a diagonal permittivity")
-    if inp.eps.uniformly_positive:
-        fr = diagonal_bound(inp.box, inp.eps)
-        method = "thmA"
-    else:
-        fr = semidef_bound(inp.box, inp.eps)
-        method = "semidef"
-    value = max(fr.value, _poincare_arm(inp))
-    return BoundReport(value, method, inp.digest(), seminorm=fr.seminorm)
+    return _maxwell_report(inp, sharp_bound(inp.box, inp.eps))
 
 
 def maxwell_full(inp):
     """Bound for full symmetric permittivity via the tilde reduction."""
     if not isinstance(inp.eps, FullWeight):
         raise WeightError("maxwell_full needs a full symmetric permittivity")
-    t = tilde_reduction(inp.eps)
-    if t.uniformly_positive:
-        fr = diagonal_bound(inp.box, t)
-        method = "thmA2"
-        seminorm = False
-    elif all(a >= 0.0 for a in t.entries) and any(a > 0.0 for a in t.entries):
-        fr = semidef_bound(inp.box, t)
-        method = "semidef"
-        seminorm = True
-    else:
-        raise BoundUnavailable(
-            f"tilde reduction diag{t.entries} has no usable positive direction"
-        )
-    value = max(fr.value, _poincare_arm(inp))
-    return BoundReport(value, method, inp.digest(), seminorm=seminorm)
+    return _maxwell_report(inp, sharp_bound(inp.box, inp.eps))
 
 
 # Only the columns where the largest permittivity eigenvalue is 1; for

@@ -16,7 +16,6 @@ import numpy as np
 from .fem import (
     P1Solution,
     SolverError,
-    SparseSystem,
     assemble_mass,
     assemble_stiffness,
     conjugate_gradients,
@@ -36,11 +35,6 @@ class EigenEstimate:
     residual: float
 
 
-def _shifted_system(k, m, sigma):
-    shifted = (k - sigma * m).tocoo() if sigma != 0.0 else k.tocoo()
-    return SparseSystem(shifted.row, shifted.col, shifted.data, k.shape[0])
-
-
 def estimate_cfa(mesh, alpha, tol=1e-8, max_outer=500):
     """Constant estimate from the smallest (stiffness, mass) eigenvalue.
 
@@ -49,17 +43,16 @@ def estimate_cfa(mesh, alpha, tol=1e-8, max_outer=500):
     eigenvalue the inner CG detects the indefinite system and the shift
     backs off.  Convergence: ||K v - lambda M v|| <= tol * lambda * ||M v||.
     """
-    k_full = assemble_stiffness(mesh, alpha)
-    m_full = assemble_mass(mesh)
-    free = mesh.interior_vertices
-    k = k_full[free][:, free].tocsr()
-    m = m_full[free][:, free].tocsr()
+    k = reduce_system(assemble_stiffness(mesh, alpha), mesh)
+    m = reduce_system(assemble_mass(mesh), mesh)
+    if k.shape[0] == 0:
+        raise SolverError("mesh has no interior vertices: refine it")
 
-    v = np.ones(len(free))
+    v = np.ones(k.shape[0])
     v /= np.sqrt(v @ (m @ v))
     sigma = 0.0
     sigma_safe = 0.0
-    system = _shifted_system(k, m, sigma)
+    system = k
     rel = 1.0
     for it in range(1, max_outer + 1):
         rhs = m @ v
@@ -68,7 +61,7 @@ def estimate_cfa(mesh, alpha, tol=1e-8, max_outer=500):
             x, _ = conjugate_gradients(system, rhs, rtol=inner_tol)
         except SolverError:
             sigma = 0.5 * (sigma + sigma_safe)
-            system = _shifted_system(k, m, sigma)
+            system = k - sigma * m
             continue
         sigma_safe = sigma
         v = x / np.sqrt(x @ (m @ x))
@@ -88,7 +81,7 @@ def estimate_cfa(mesh, alpha, tol=1e-8, max_outer=500):
             new_sigma = lam * (1.0 - 6.0 * rel)
             if new_sigma > sigma:
                 sigma = new_sigma
-                system = _shifted_system(k, m, sigma)
+                system = k - sigma * m
     raise SolverError(f"inverse iteration did not converge in {max_outer} steps")
 
 

@@ -126,6 +126,16 @@ class TestErrors:
         code, _, err = run(capsys, "bounds")
         assert code == 1
 
+    def test_empty_level_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "experiment", "table2", "--levels", "3:1")
+        assert code == 1 and out == ""
+        assert "--levels" in err and err.count("\n") == 1
+
+    def test_mesh_without_interior_is_computational_error(self, capsys):
+        code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
+        assert code == 2 and out == ""
+        assert "interior" in err and err.count("\n") == 1
+
 
 class TestExperiment:
     def test_csv_header_and_row(self, capsys):

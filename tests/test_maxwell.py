@@ -73,6 +73,12 @@ class TestMaxwellInput:
     def test_rejects_small_eps_max(self):
         with pytest.raises(WeightError, match="eps_max"):
             MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)), eps_max=0.5)
+        # at or above the smallest eigenvalue but below the largest
+        with pytest.raises(WeightError, match="eps_max"):
+            MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 0.0)), eps_max=0.0)
+        # rounding slack of 1e-12 relative, as for the diameter
+        inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)), eps_max=1.0 - 1e-13)
+        assert inp.eps_max == 1.0 - 1e-13
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(WeightError):
