@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import friedrichs, majorant, maxwell, oracle
+from . import friedrichs, majorant, maxwell, oracle, weights
 from .fem import SolverError
 from .mesh import MeshError, build_lshape, build_unit_square
 from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
@@ -157,6 +157,8 @@ def _cmd_experiment(args):
     alpha = _weight_flag(args.alpha, "--alpha")
     if alpha.d != 2:
         raise UsageError("--alpha must be 2-dimensional for the experiment")
+    if weights.smallest_eigenvalue(alpha) <= 0.0:
+        raise UsageError("--alpha must be positive definite for the experiment")
     constants = [float(c) for c in args.constants.split(",") if c != ""]
     if not constants or any(c <= 0.0 for c in constants):
         raise UsageError("--constants needs a comma-separated list of positive reals")

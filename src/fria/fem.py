@@ -33,6 +33,14 @@ def nodal_gradients(mesh, values):
     return np.einsum("tj,tjx->tx", values[mesh.triangles], mesh.grads)
 
 
+def _scatter(mesh, local):
+    """Sum the (nt, 3, 3) local matrices into the global CSR matrix."""
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    nv = mesh.num_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 def assemble_stiffness(mesh, alpha):
     """Full (Neumann) stiffness with entries int_T (alpha grad phi_j) . grad phi_i."""
     a = np.asarray(alpha.matrix, dtype=float)
@@ -43,20 +51,14 @@ def assemble_stiffness(mesh, alpha):
     g = mesh.grads
     local = np.einsum("tia,ab,tjb->tij", g, a, g) * mesh.areas[:, None, None]
     local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return _scatter(mesh, local)
 
 
 def assemble_mass(mesh):
     """Consistent P1 mass matrix (exact, not lumped)."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     local = ref[None, :, :] * mesh.areas[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return _scatter(mesh, local)
 
 
 def lumped_load(mesh, nodal_f):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import MIDPOINT3
+from .quadrature import MIDPOINT3, physical_points
 
 
 @dataclass
@@ -53,7 +53,7 @@ def rt_values(field, bary):
     """
     mesh = field.mesh
     corners = mesh.vertices[mesh.triangles]
-    pts = np.einsum("kb,tbx->tkx", bary, corners)
+    pts = physical_points(mesh, bary)
     coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs
     coeff = coeff / (2.0 * mesh.areas[:, None])
     diff = pts[:, :, None, :] - corners[:, None, :, :]

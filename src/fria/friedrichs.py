@@ -61,9 +61,17 @@ def _check_dims(box, w):
         raise WeightError(f"box is {box.d}-dimensional but weight is {w.d}-dimensional")
 
 
+def _inverse_root(s, method):
+    """1 / (pi sqrt(s)) for the sum ``s`` of weights over squared lengths,
+    refused when ``s`` underflowed to 0 or overflowed to inf."""
+    if not 0.0 < s < math.inf:
+        raise BoundUnavailable(f"{method} bound out of floating-point range: sum {s}")
+    return 1.0 / (math.pi * math.sqrt(s))
+
+
 def mikhlin_bound(box):
     """Unweighted box bound 1 / (pi sqrt(sum 1/l_i^2))."""
-    value = 1.0 / (math.pi * math.sqrt(box.inverse_square_sum()))
+    value = _inverse_root(box.inverse_square_sum(), "mikhlin")
     return BoundReport(value, "mikhlin", _digest(box))
 
 
@@ -78,7 +86,7 @@ def coarse_bound(box, w):
         raise BoundUnavailable(
             f"coarse bound undefined: smallest eigenvalue {amin} is not positive"
         )
-    value = 1.0 / (math.pi * math.sqrt(amin * box.inverse_square_sum()))
+    value = _inverse_root(amin * box.inverse_square_sum(), "coarse")
     return BoundReport(value, "coarse", _digest(box, w))
 
 
@@ -98,7 +106,7 @@ def diagonal_bound(box, w):
             "route nonnegative weights through semidef_bound"
         )
     s = sum(a / (l * l) for a, l in zip(w.entries, box.lengths))
-    return BoundReport(1.0 / (math.pi * math.sqrt(s)), "thmA", _digest(box, w))
+    return BoundReport(_inverse_root(s, "thmA"), "thmA", _digest(box, w))
 
 
 def full_bound(box, w):
@@ -131,10 +139,10 @@ def semidef_bound(box, w):
         raise BoundUnavailable(
             f"semidef bound needs nonnegative entries, got diag{d.entries}"
         )
-    s = sum(a / (l * l) for a, l in zip(d.entries, box.lengths) if a > 0.0)
-    if s == 0.0:
+    if not any(a > 0.0 for a in d.entries):
         raise BoundUnavailable("semidef bound needs at least one positive entry")
-    value = 1.0 / (math.pi * math.sqrt(s))
+    s = sum(a / (l * l) for a, l in zip(d.entries, box.lengths) if a > 0.0)
+    value = _inverse_root(s, "semidef")
     seminorm = d is not w or any(a == 0.0 for a in d.entries)
     return BoundReport(value, "semidef", _digest(box, w), seminorm=seminorm)
 
@@ -178,16 +186,14 @@ def best_bound(box, w):
     if isinstance(w, FullWeight) and w.is_diagonal:
         w = w.diagonal_part()
     cands = []
+    refusals = []
     for formula in (sharp_bound, coarse_bound):
         try:
             cands.append(formula(box, w))
-        except BoundUnavailable:
-            pass
+        except BoundUnavailable as exc:
+            refusals.append(str(exc))
     if not cands:
-        raise BoundUnavailable(
-            "no bound applies: weight is indefinite and its tilde reduction "
-            "has no positive direction"
-        )
+        raise BoundUnavailable("no bound applies: " + "; ".join(refusals))
     return min(cands, key=lambda r: (r.value, METHODS.index(r.method)))
 
 

@@ -24,11 +24,16 @@ class MajorantBreakdown:
     total: float
 
 
-def evaluate_majorant(c_tilde, solution, field, alpha, f):
-    """Evaluate the error majorant for a given constant bound c~."""
+def _positive(c_tilde):
     c_tilde = float(c_tilde)
     if c_tilde <= 0.0:
         raise ValueError(f"constant bound must be positive, got {c_tilde}")
+    return c_tilde
+
+
+def evaluate_majorant(c_tilde, solution, field, alpha, f):
+    """Evaluate the error majorant for a given constant bound c~."""
+    c_tilde = _positive(c_tilde)
     residual, defect = flux_defect_norms(field, solution, alpha, f)
     return MajorantBreakdown(c_tilde, residual, defect, c_tilde * residual + defect)
 
@@ -45,9 +50,10 @@ def run_refinement_experiment(levels, alpha, f, constants, sink=None):
 
     Returns one row per level with the majorant total for every constant,
     ordered by level.  ``sink(level, solution)``, when given, receives
-    each solved level (used by the CLI to export nodal values).
+    each solved level (used by the CLI to export nodal values).  Both
+    majorant norms are computed once per level and shared by all constants.
     """
-    constants = [float(c) for c in constants]
+    constants = [_positive(c) for c in constants]
     rows = []
     for level in levels:
         mesh = build_lshape(level)
@@ -55,9 +61,8 @@ def run_refinement_experiment(levels, alpha, f, constants, sink=None):
         if sink is not None:
             sink(level, solution)
         field = rt_average(solution, alpha)
-        totals = tuple(
-            evaluate_majorant(c, solution, field, alpha, f).total for c in constants
-        )
+        residual, defect = flux_defect_norms(field, solution, alpha, f)
+        totals = tuple(c * residual + defect for c in constants)
         rows.append(ExperimentRow(level, mesh.num_triangles, totals))
     return rows
 

@@ -12,6 +12,7 @@ the higher index; boundary normals point out of the domain.  This fixes
 all signs of the lowest-order Raviart-Thomas degrees of freedom.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,12 @@ class TriMesh:
     domain: str
     n: int
     level: int
-    areas: np.ndarray = None
-    grads: np.ndarray = None
-    edge_lengths: np.ndarray = None
-    edge_normals: np.ndarray = None
-    tri_edges: np.ndarray = None
-    tri_edge_signs: np.ndarray = None
+    areas: np.ndarray
+    grads: np.ndarray
+    edge_lengths: np.ndarray
+    edge_normals: np.ndarray
+    tri_edges: np.ndarray
+    tri_edge_signs: np.ndarray
 
     @property
     def num_vertices(self):
@@ -89,69 +90,68 @@ class TriMesh:
         return DInterval(tuple(hi - lo))
 
 
-def _triangle_geometry(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    d1 = p1 - p0
-    d2 = p2 - p0
-    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    areas = 0.5 * twice_area
+def _twice_signed_areas(corners):
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _triangle_geometry(corners):
+    twice_area = _twice_signed_areas(corners)
     # grad of basis j: rotated opposite edge over twice the signed area
-    grads = np.empty((len(triangles), 3, 2))
-    pts = (p0, p1, p2)
-    for j in range(3):
-        a = pts[(j + 1) % 3]
-        b = pts[(j + 2) % 3]
-        grads[:, j, 0] = a[:, 1] - b[:, 1]
-        grads[:, j, 1] = b[:, 0] - a[:, 0]
+    a = corners[:, [1, 2, 0]]
+    b = corners[:, [2, 0, 1]]
+    grads = np.empty(corners.shape)
+    grads[..., 0] = a[..., 1] - b[..., 1]
+    grads[..., 1] = b[..., 0] - a[..., 0]
     grads /= twice_area[:, None, None]
-    return areas, grads
+    return 0.5 * twice_area, grads
+
+
+def _edge_codes(triangles, nv):
+    """Edge j of every triangle (opposite local vertex j) as the integer
+    ``lo * nv + hi`` of its sorted vertex pair; sorting the codes sorts the
+    pairs lexicographically."""
+    local = triangles[:, [[1, 2], [2, 0], [0, 1]]]
+    return local.min(axis=2) * nv + local.max(axis=2)
 
 
 def _finalize(vertices, triangles, domain, n, level):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
+    nv = len(vertices)
     nt = len(triangles)
 
-    # edge j of a triangle is opposite local vertex j
-    local = triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-    keys = np.sort(local, axis=1)
-    edges, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(nt, 3)
-    ne = len(edges)
-
-    flat = inverse.ravel()
-    counts = np.bincount(flat, minlength=ne)
+    keys = _edge_codes(triangles, nv).ravel()
+    codes, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
     if counts.max() > 2:
         raise MeshError("edge shared by more than two triangles")
-    edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    # flat index k belongs to triangle k // 3; stable sort keeps triangle
-    # indices ascending within each edge group, so the first adopter is
-    # the lower-index triangle
-    order = np.argsort(flat, kind="stable")
-    tri_of = order // 3
-    starts = np.searchsorted(flat[order], np.arange(ne))
-    edge_tris[:, 0] = tri_of[starts]
-    second = counts == 2
-    edge_tris[second, 1] = tri_of[starts[second] + 1]
+    edges = np.column_stack((codes // nv, codes % nv))
+    # flat index k belongs to triangle k // 3, so the first occurrence of
+    # an edge is its lower-index triangle and the last its higher one
+    last = np.zeros(len(codes), dtype=np.int64)
+    np.maximum.at(last, inverse, np.arange(3 * nt))
+    edge_tris = np.column_stack((first // 3, np.where(counts == 2, last // 3, -1)))
+    inverse = inverse.reshape(nt, 3)
 
-    areas, grads = _triangle_geometry(vertices, triangles)
+    corners = vertices[triangles]
+    areas, grads = _triangle_geometry(corners)
 
     a = vertices[edges[:, 0]]
     b = vertices[edges[:, 1]]
     tangents = b - a
     edge_lengths = np.hypot(tangents[:, 0], tangents[:, 1])
     normals = np.column_stack((tangents[:, 1], -tangents[:, 0])) / edge_lengths[:, None]
-    first = edge_tris[:, 0]
-    centroids = vertices[triangles].mean(axis=1)
+    centroids = corners.mean(axis=1)
     mid = 0.5 * (a + b)
-    outward = np.einsum("ij,ij->i", mid - centroids[first], normals)
+    outward = np.einsum("ij,ij->i", mid - centroids[edge_tris[:, 0]], normals)
     normals[outward < 0.0] *= -1.0
 
     signs = np.where(edge_tris[inverse, 0] == np.arange(nt)[:, None], 1.0, -1.0)
 
-    boundary_vertex = np.zeros(len(vertices), dtype=bool)
+    boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True
 
     return TriMesh(
@@ -172,37 +172,30 @@ def _finalize(vertices, triangles, domain, n, level):
     )
 
 
-def _build_grid(n, keep_cell, domain, level):
+def _build_grid(n, keep, domain, level):
+    """Triangulate the cells ``(i, j)`` of an n x n grid with ``keep[i, j]``.
+
+    Vertices and cells are numbered row by row from y = 0 (``j`` outer,
+    ``i`` inner); each cell gives the triangles (a, b, c) and (a, c, d) of
+    its corners a, b, c, d counterclockwise from the lower left.
+    """
+    cells = keep.T
+    used = np.zeros((n + 1, n + 1), dtype=bool)
+    used[:-1, :-1] |= cells
+    used[:-1, 1:] |= cells
+    used[1:, :-1] |= cells
+    used[1:, 1:] |= cells
     index = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    vertices = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            adjacent = (
-                (i > 0 and j > 0 and keep_cell(i - 1, j - 1))
-                or (i < n and j > 0 and keep_cell(i, j - 1))
-                or (i > 0 and j < n and keep_cell(i - 1, j))
-                or (i < n and j < n and keep_cell(i, j))
-            )
-            if adjacent:
-                index[i, j] = len(vertices)
-                vertices.append((i / n, j / n))
-    triangles = []
-    for cj in range(n):
-        for ci in range(n):
-            if not keep_cell(ci, cj):
-                continue
-            a = index[ci, cj]
-            b = index[ci + 1, cj]
-            c = index[ci + 1, cj + 1]
-            d = index[ci, cj + 1]
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
+    index[used] = np.arange(np.count_nonzero(used))
+    vj, vi = np.nonzero(used)
+    vertices = np.column_stack((vi / n, vj / n))
+    cj, ci = np.nonzero(cells)
+    a = index[cj, ci]
+    b = index[cj, ci + 1]
+    c = index[cj + 1, ci + 1]
+    d = index[cj + 1, ci]
+    triangles = np.column_stack((a, b, c, a, c, d)).reshape(-1, 3)
     return _finalize(vertices, triangles, domain, n, level)
-
-
-def lshape_cell_kept(ci, cj, n):
-    """Cell predicate for the unit square minus its lower-right quadrant."""
-    return not (ci >= n // 2 and cj < n // 2)
 
 
 def build_lshape(level):
@@ -210,7 +203,9 @@ def build_lshape(level):
     if not 0 <= level <= MAX_LEVEL:
         raise MeshError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
     n = 16 * 2**level
-    return _build_grid(n, lambda ci, cj: lshape_cell_kept(ci, cj, n), "lshape", level)
+    keep = np.ones((n, n), dtype=bool)
+    keep[n // 2 :, : n // 2] = False
+    return _build_grid(n, keep, "lshape", level)
 
 
 def build_unit_square(n):
@@ -220,68 +215,61 @@ def build_unit_square(n):
         raise MeshError(f"n must be at least 1, got {n}")
     if n > 16 * 2**MAX_LEVEL:
         raise MeshError(f"n = {n} exceeds the refinement guard")
-    return _build_grid(n, lambda ci, cj: True, "square", n)
+    return _build_grid(n, np.ones((n, n), dtype=bool), "square", n)
 
 
 def validate(m):
     """Check all mesh invariants; returns a list of violation messages."""
-    problems = []
-
-    p0 = m.vertices[m.triangles[:, 0]]
-    p1 = m.vertices[m.triangles[:, 1]]
-    p2 = m.vertices[m.triangles[:, 2]]
-    signed = 0.5 * (
-        (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-        - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
-    )
-    for t in np.flatnonzero(signed <= 0.0):
-        problems.append(f"triangle {t} has nonpositive signed area {signed[t]}")
+    signed = 0.5 * _twice_signed_areas(m.vertices[m.triangles])
+    problems = [
+        f"triangle {t} has nonpositive signed area {signed[t]}"
+        for t in np.flatnonzero(signed <= 0.0)
+    ]
 
     # recount adjacency from the triangle list itself
-    local = m.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-    keys = np.sort(local, axis=1)
-    found, counts = np.unique(keys, axis=0, return_counts=True)
+    nv = m.num_vertices
+    found, counts = np.unique(_edge_codes(m.triangles, nv), return_counts=True)
     if len(found) != m.num_edges:
         problems.append(
             f"edge table has {m.num_edges} edges but triangles span {len(found)}"
         )
-    bad = np.flatnonzero((counts < 1) | (counts > 2))
-    for k in bad:
-        problems.append(
-            f"edge {tuple(found[k])} borders {counts[k]} triangles (want 1 or 2)"
-        )
+    problems += [
+        f"edge ({found[k] // nv}, {found[k] % nv}) borders {counts[k]} triangles (want 1 or 2)"
+        for k in np.flatnonzero(counts > 2)
+    ]
 
     euler = m.num_vertices - m.num_edges + m.num_triangles
     if euler != 1:
         problems.append(f"Euler relation violated: V - E + T = {euler}, want 1")
 
-    for e in range(m.num_edges):
-        v0, v1 = m.edges[e]
-        for t in m.edge_tris[e]:
-            if t < 0:
-                continue
-            tri = set(m.triangles[t])
-            if v0 not in tri or v1 not in tri:
-                problems.append(
-                    f"conformity violated: edge {e} = ({v0},{v1}) not a "
-                    f"vertex pair of its adjacent triangle {t}"
-                )
+    # both vertices of every edge must be corners of each adjacent triangle
+    adjacent = m.edge_tris >= 0
+    corners = m.triangles[np.where(adjacent, m.edge_tris, 0)]
+    spanned = (corners[:, :, None, :] == m.edges[:, None, :, None]).any(axis=3).all(axis=2)
+    problems += [
+        f"conformity violated: edge {e} = ({m.edges[e, 0]},{m.edges[e, 1]}) not a "
+        f"vertex pair of its adjacent triangle {m.edge_tris[e, s]}"
+        for e, s in np.argwhere(adjacent & ~spanned)
+    ]
     return problems
+
+
+def _rows(table):
+    """The rows of a 2-D string array, their entries joined by spaces."""
+    return functools.reduce(lambda a, b: np.char.add(np.char.add(a, " "), b), table.T)
 
 
 def dump_mesh(m):
     """Plain-text dump: $vertices / $triangles / $edges sections,
-    one entity per line, 0-based indices."""
-    lines = ["$vertices"]
-    for x, y in m.vertices:
-        lines.append(f"{x!r} {y!r}")
-    lines.append("$triangles")
-    for a, b, c in m.triangles:
-        lines.append(f"{a} {b} {c}")
-    lines.append("$edges")
-    for (v0, v1), (t0, t1) in zip(m.edges, m.edge_tris):
-        if t1 < 0:
-            lines.append(f"{v0} {v1} {t0}")
-        else:
-            lines.append(f"{v0} {v1} {t0} {t1}")
-    return "\n".join(lines) + "\n"
+    one entity per line, 0-based indices; an edge line lists its second
+    triangle only when it has one."""
+    t0, t1 = m.edge_tris.T.astype(str)
+    tris = np.where(m.edge_tris[:, 1] < 0, t0, _rows(np.column_stack((t0, t1))))
+    lines = np.hstack(
+        (
+            "$vertices", _rows(m.vertices.astype(str)),
+            "$triangles", _rows(m.triangles.astype(str)),
+            "$edges", _rows(np.column_stack((m.edges.astype(str), tris))),
+        )
+    )
+    return "\n".join(lines.tolist()) + "\n"

@@ -27,8 +27,9 @@ class DInterval:
         if not 1 <= len(lengths) <= 3:
             raise WeightError(f"box dimension must be 1, 2 or 3, got {len(lengths)}")
         for l in lengths:
-            if not (math.isfinite(l) and l > 0.0):
-                raise WeightError(f"box side lengths must be finite and positive, got {l}")
+            # every bound formula divides by l^2
+            if not (l > 0.0 and 0.0 < l * l < math.inf):
+                raise WeightError(f"box side lengths need a finite positive square, got {l}")
 
     @property
     def d(self):
@@ -263,13 +264,7 @@ def dominates(w, t):
         tuple(mw[i][j] - mt[i][j] for j in range(w.d)) for i in range(w.d)
     )
     scale = max(1.0, max(abs(v) for row in diff for v in row))
-    if w.d == 1:
-        lo = diff[0][0]
-    elif w.d == 2:
-        lo = _eig2(diff[0][0], diff[0][1], diff[1][1])[0]
-    else:
-        lo = _eig3(diff)[0]
-    return lo >= -1e-12 * scale
+    return smallest_eigenvalue(FullWeight(diff)) >= -1e-12 * scale
 
 
 def parse_weight(text):

@@ -131,6 +131,28 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "--levels" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--lengths", "1e-200,1"], 1),
+            (["--lengths", "1e200,1e200", "--weight", "diag:1e-300,1"], 1),
+            (["--lengths", "1e150,1e150", "--weight", "diag:1e-300,1e-300"], 2),
+        ],
+    )
+    def test_float_range_is_one_line_error(self, capsys, argv, want):
+        code, out, err = run(capsys, "bounds", "friedrichs", *argv)
+        assert code == want and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha", ["full:1,2,1", "diag:1,0"])
+    def test_experiment_rejects_non_definite_alpha(self, capsys, monkeypatch, alpha):
+        from fria import majorant
+
+        monkeypatch.setattr(majorant, "build_lshape", None)  # no mesh may be built
+        code, out, err = run(capsys, "experiment", "table2", "--levels", "0", "--alpha", alpha)
+        assert code == 1 and out == ""
+        assert "--alpha" in err and "positive definite" in err and err.count("\n") == 1
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""

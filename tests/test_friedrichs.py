@@ -169,6 +169,25 @@ class TestBestBound:
         with pytest.raises(BoundUnavailable, match="no bound applies"):
             best_bound(UNIT_SQUARE, w)
 
+    def test_sum_out_of_float_range_is_refused(self):
+        # 1e-300 / 1e300 underflows to 0: the bound would divide by zero
+        box = DInterval((1e150, 1e150))
+        tiny = DiagonalWeight((1e-300, 1e-300))
+        for formula in (diagonal_bound, coarse_bound, semidef_bound):
+            with pytest.raises(BoundUnavailable, match="floating-point range"):
+                formula(box, tiny)
+        with pytest.raises(BoundUnavailable, match="floating-point range"):
+            best_bound(box, tiny)
+        # 1e300 / 1e-20 overflows to inf
+        with pytest.raises(BoundUnavailable, match="floating-point range"):
+            diagonal_bound(DInterval((1e-10, 1.0)), DiagonalWeight((1e300, 1.0)))
+
+    def test_underflowing_coarse_leaves_the_sharp_bound(self):
+        box = DInterval((1e150, 1e150))
+        rep = best_bound(box, DiagonalWeight((1e-300, 1.0)))
+        assert rep.method == "thmA"
+        assert rep.value == 1.0 / (math.pi * math.sqrt(1e-300))
+
 
 class TestCoercivity:
     def test_coarse_threshold(self):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fria import manufactured
+from fria import majorant, manufactured
 from fria.fem import P1Solution, nodal_gradients, solve_diffusion
 from fria.flux import RT0Field, rt_average
 from fria.majorant import evaluate_majorant, run_refinement_experiment
-from fria.mesh import build_unit_square
+from fria.mesh import build_lshape, build_unit_square
 from fria.quadrature import DEGREE5, gauss_collapsed, physical_points
 from fria.weights import DiagonalWeight
 
@@ -80,6 +80,25 @@ class TestExperiment:
         for col in range(2):
             values = [r.majorants[col] for r in rows]
             assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_norms_computed_once_per_level(self, monkeypatch):
+        calls = []
+        norms = majorant.flux_defect_norms
+        monkeypatch.setattr(
+            majorant, "flux_defect_norms", lambda *a: calls.append(1) or norms(*a)
+        )
+        rows = run_refinement_experiment([0, 1], ANISO, 1.0, [22.50791, 0.31829, 1.0])
+        assert len(calls) == 2
+        s = solve_diffusion(build_lshape(1), ANISO, 1.0)
+        field = rt_average(s, ANISO)
+        assert rows[1].majorants == tuple(
+            evaluate_majorant(c, s, field, ANISO, 1.0).total for c in (22.50791, 0.31829, 1.0)
+        )
+
+    def test_rejects_nonpositive_constant_before_solving(self, monkeypatch):
+        monkeypatch.setattr(majorant, "build_lshape", None)
+        with pytest.raises(ValueError, match="positive"):
+            run_refinement_experiment([0], ANISO, 1.0, [0.31829, 0.0])
 
     def test_determinism(self):
         a = run_refinement_experiment([0], ANISO, 1.0, [0.31829])

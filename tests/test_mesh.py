@@ -1,14 +1,23 @@
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fria.mesh import (
     MeshError,
-    TriMesh,
     build_lshape,
     build_unit_square,
     dump_mesh,
     validate,
 )
+
+DIGESTS = Path(__file__).with_name("mesh_digests.json")
+DIGEST_MESHES = [("lshape", k) for k in range(6)] + [
+    ("square", n) for n in (1, 2, 3, 8, 33, 64, 128)
+]
 
 
 def lattice_counts_lshape(n):
@@ -96,30 +105,35 @@ class TestValidate:
         m = mesh_cache("lshape", 0)
         bad_tris = m.triangles.copy()
         bad_tris[5, [0, 1]] = bad_tris[5, [1, 0]]
-        bad = TriMesh(
-            vertices=m.vertices,
-            triangles=bad_tris,
-            edges=m.edges,
-            edge_tris=m.edge_tris,
-            boundary_vertex=m.boundary_vertex,
-            domain=m.domain,
-            n=m.n,
-            level=m.level,
-        )
+        bad = dataclasses.replace(m, triangles=bad_tris)
         problems = validate(bad)
         assert any("nonpositive signed area" in p for p in problems)
 
+    def test_conformity_reported_edge_major(self, mesh_cache):
+        m = mesh_cache("square", 2)
+        edge_tris = m.edge_tris.copy()
+        edge_tris[[0, 5]] = edge_tris[[5, 0]]
+        assert validate(dataclasses.replace(m, edge_tris=edge_tris)) == [
+            "conformity violated: edge 0 = (0,1) not a vertex pair of its adjacent triangle 2",
+            "conformity violated: edge 0 = (0,1) not a vertex pair of its adjacent triangle 3",
+            "conformity violated: edge 5 = (1,5) not a vertex pair of its adjacent triangle 0",
+        ]
+
+    def test_overshared_edge_detected(self, mesh_cache):
+        m = mesh_cache("square", 2)
+        bad = dataclasses.replace(m, triangles=np.vstack([m.triangles, m.triangles[:1]]))
+        # triangle 0 = (0, 1, 4): its two interior edges now border three
+        assert validate(bad)[:2] == [
+            "edge (0, 4) borders 3 triangles (want 1 or 2)",
+            "edge (1, 4) borders 3 triangles (want 1 or 2)",
+        ]
+
     def test_euler_violation_detected(self, mesh_cache):
         m = mesh_cache("square", 2)
-        bad = TriMesh(
+        bad = dataclasses.replace(
+            m,
             vertices=np.vstack([m.vertices, [[9.0, 9.0]]]),
-            triangles=m.triangles,
-            edges=m.edges,
-            edge_tris=m.edge_tris,
             boundary_vertex=np.append(m.boundary_vertex, True),
-            domain=m.domain,
-            n=m.n,
-            level=m.level,
         )
         assert any("Euler" in p for p in validate(bad))
 
@@ -168,7 +182,7 @@ def test_dump_format(mesh_cache):
     m = build_unit_square(1)
     text = dump_mesh(m)
     lines = text.splitlines()
-    assert lines[0] == "$vertices"
+    assert lines[:3] == ["$vertices", "0.0 0.0", "1.0 0.0"]
     v_end = lines.index("$triangles")
     e_start = lines.index("$edges")
     assert v_end - 1 == m.num_vertices
@@ -177,3 +191,46 @@ def test_dump_format(mesh_cache):
     # boundary edges carry one triangle, the interior diagonal two
     edge_fields = [line.split() for line in lines[e_start + 1 :]]
     assert sorted(len(f) for f in edge_fields) == [3, 3, 3, 3, 4]
+
+
+def build(domain, k):
+    return build_lshape(k) if domain == "lshape" else build_unit_square(k)
+
+
+def mesh_digest(m):
+    """Field name -> "dtype shape sha256" for arrays, repr for scalars."""
+    out = {}
+    for f in dataclasses.fields(m):
+        value = getattr(m, f.name)
+        if isinstance(value, np.ndarray):
+            sha = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+            out[f.name] = f"{value.dtype} {value.shape} {sha}"
+        else:
+            out[f.name] = repr(value)
+    return out
+
+
+@pytest.fixture(scope="module")
+def recorded_digests():
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("domain,k", DIGEST_MESHES, ids=lambda v: str(v))
+def test_mesh_arrays_match_recorded_digest(recorded_digests, domain, k):
+    # pins vertex order, edge order, adjacency and the RT0 normal signs
+    m = build(domain, k)
+    assert mesh_digest(m) == recorded_digests[f"{domain}:{k}"]
+    # strided arrays would cost copies in every einsum of the solve layer
+    assert all(
+        getattr(m, f.name).flags.c_contiguous
+        for f in dataclasses.fields(m)
+        if isinstance(getattr(m, f.name), np.ndarray)
+    )
+
+
+if __name__ == "__main__":
+    # re-record after an intended change of mesh numbering or geometry:
+    # PYTHONPATH=src python tests/test_mesh.py  (from the repository root)
+    records = {f"{domain}:{k}": mesh_digest(build(domain, k)) for domain, k in DIGEST_MESHES}
+    DIGESTS.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {len(records)} meshes in {DIGESTS}")

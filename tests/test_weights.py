@@ -32,7 +32,10 @@ class TestDInterval:
         assert box.diagonal == pytest.approx(math.sqrt(14.0), rel=1e-15)
         assert box.inverse_square_sum() == pytest.approx(1 + 0.25 + 1 / 9, rel=1e-15)
 
-    @pytest.mark.parametrize("lengths", [(), (1.0,) * 4, (0.0,), (-1.0, 1.0), (math.inf, 1.0)])
+    @pytest.mark.parametrize(
+        "lengths",
+        [(), (1.0,) * 4, (0.0,), (-1.0, 1.0), (math.inf, 1.0), (1e-200, 1.0), (1.0, 1e200)],
+    )
     def test_invalid(self, lengths):
         with pytest.raises(WeightError):
             DInterval(lengths)
