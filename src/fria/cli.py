@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 computational failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -159,9 +160,14 @@ def _cmd_experiment(args):
         raise UsageError("--alpha must be 2-dimensional for the experiment")
     if weights.smallest_eigenvalue(alpha) <= 0.0:
         raise UsageError("--alpha must be positive definite for the experiment")
-    constants = [float(c) for c in args.constants.split(",") if c != ""]
-    if not constants or any(c <= 0.0 for c in constants):
-        raise UsageError("--constants needs a comma-separated list of positive reals")
+    try:
+        constants = [float(c) for c in args.constants.split(",") if c != ""]
+    except ValueError:
+        constants = []  # reported by the check below
+    if not constants or not all(0.0 < c < math.inf for c in constants):
+        raise UsageError("--constants needs a comma-separated list of finite positive reals")
+    if not math.isfinite(args.f):
+        raise UsageError(f"--f must be finite, got {args.f}")
     sink = _solution_writer(args.solutions) if args.solutions else None
     rows = majorant.run_refinement_experiment(levels, alpha, args.f, constants, sink=sink)
     columns = _experiment_columns(constants)

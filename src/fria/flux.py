@@ -76,10 +76,10 @@ def defect_norm(field, solution, alpha):
     """
     mesh = field.mesh
     a = np.asarray(alpha.matrix, dtype=float)
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det == 0.0:
-        raise ValueError("weight matrix is singular")
-    ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+    try:
+        ainv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise ValueError("weight matrix is singular") from None
     bary, wq = MIDPOINT3
     broken = solution.gradients @ a.T
     diff = rt_values(field, bary) - broken[:, None, :]

@@ -7,6 +7,7 @@ drives this majorant over a hierarchy of L-shape meshes with the flux
 obtained by edge averaging.
 """
 
+import math
 from dataclasses import dataclass
 
 from .fem import solve_diffusion
@@ -26,8 +27,8 @@ class MajorantBreakdown:
 
 def _positive(c_tilde):
     c_tilde = float(c_tilde)
-    if c_tilde <= 0.0:
-        raise ValueError(f"constant bound must be positive, got {c_tilde}")
+    if not 0.0 < c_tilde < math.inf:
+        raise ValueError(f"constant bound must be finite and positive, got {c_tilde}")
     return c_tilde
 
 

@@ -46,7 +46,9 @@ class MaxwellInput:
             )
         lam_max = largest_eigenvalue(self.eps)
         eps_max = lam_max if self.eps_max is None else float(self.eps_max)
-        if eps_max < lam_max - 1e-12 * abs(lam_max):
+        if not math.isfinite(eps_max):
+            raise WeightError(f"eps_max must be finite, got {eps_max}")
+        if not eps_max >= lam_max - 1e-12 * abs(lam_max):
             raise WeightError(
                 f"eps_max {eps_max} is below the largest permittivity eigenvalue {lam_max}"
             )
@@ -72,8 +74,8 @@ def poincare_convex_bound(diam):
 
 def maxwell_from_parts(c_feps, eps_max, c_p):
     """Maxwell bound max(c_feps, sqrt(eps_max) * c_p) from its two arms."""
-    if min(c_feps, eps_max, c_p) <= 0.0:
-        raise ValueError("all inputs must be positive")
+    if not all(0.0 < x < math.inf for x in (c_feps, eps_max, c_p)):
+        raise ValueError("all inputs must be finite and positive")
     return max(c_feps, math.sqrt(eps_max) * c_p)
 
 

@@ -2,13 +2,15 @@
 
 All weights are real and constant over the domain.  Diagonal weights are
 stored as their diagonal, full weights as an exactly symmetric d x d tuple
-matrix with d <= 3.  Eigenvalues are computed by closed forms (quadratic
-formula for d = 2, trigonometric solve of the characteristic cubic for
-d = 3), so no linear-algebra package is needed at this size.
+matrix with d <= 3.  A full weight's eigenvalues come from LAPACK
+(``numpy.linalg.eigvalsh``), computed once per weight and cached.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class WeightError(ValueError):
@@ -81,6 +83,11 @@ class DiagonalWeight:
             for i in range(self.d)
         )
 
+    @property
+    def eigenvalues(self):
+        """The entries, ascending."""
+        return tuple(sorted(self.entries))
+
     def digest(self):
         return {"diag": list(self.entries)}
 
@@ -135,6 +142,11 @@ class FullWeight:
     def matrix(self):
         return self.entries
 
+    @functools.cached_property
+    def eigenvalues(self):
+        """All eigenvalues, ascending, from one LAPACK call per weight."""
+        return tuple(float(v) for v in np.linalg.eigvalsh(self.entries))
+
     @property
     def is_diagonal(self):
         return all(
@@ -151,78 +163,9 @@ class FullWeight:
         return {"full": [list(row) for row in self.entries]}
 
 
-def _eig2(a11, a12, a22):
-    mean = 0.5 * (a11 + a22)
-    r = math.hypot(0.5 * (a11 - a22), a12)
-    return (mean - r, mean + r)
-
-
-def _eig3(m):
-    # Trigonometric closed form for the symmetric 3x3 eigenproblem; the
-    # acos argument is clamped to [-1, 1] to survive roundoff near
-    # repeated eigenvalues.
-    a11, a12, a13 = m[0]
-    _, a22, a23 = m[1]
-    a33 = m[2][2]
-    p1 = a12 * a12 + a13 * a13 + a23 * a23
-    if p1 == 0.0:
-        return tuple(sorted((a11, a22, a33)))
-    q = (a11 + a22 + a33) / 3.0
-    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b11, b22, b33 = (a11 - q) / p, (a22 - q) / p, (a33 - q) / p
-    b12, b13, b23 = a12 / p, a13 / p, a23 / p
-    detb = (
-        b11 * (b22 * b33 - b23 * b23)
-        - b12 * (b12 * b33 - b23 * b13)
-        + b13 * (b12 * b23 - b22 * b13)
-    )
-    r = min(1.0, max(-1.0, 0.5 * detb))
-    phi = math.acos(r) / 3.0
-    hi = q + 2.0 * p * math.cos(phi)
-    lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    mid = 3.0 * q - hi - lo
-    # characteristic polynomial coefficients for the Newton polish below
-    tr = a11 + a22 + a33
-    c2 = (
-        a11 * a22
-        - a12 * a12
-        + a11 * a33
-        - a13 * a13
-        + a22 * a33
-        - a23 * a23
-    )
-    det = (
-        a11 * (a22 * a33 - a23 * a23)
-        - a12 * (a12 * a33 - a23 * a13)
-        + a13 * (a12 * a23 - a22 * a13)
-    )
-
-    def polish(lam):
-        # two Newton steps on det(A - lam I); skipped near repeated roots
-        # where the derivative degenerates
-        scale = max(1.0, abs(lam)) ** 2
-        for _ in range(2):
-            pval = ((-lam + tr) * lam - c2) * lam + det
-            pder = (-3.0 * lam + 2.0 * tr) * lam - c2
-            if abs(pder) < 1e-8 * scale:
-                return lam
-            lam -= pval / pder
-        return lam
-
-    return tuple(sorted(polish(lam) for lam in (lo, mid, hi)))
-
-
 def sym_eigenvalues(w):
     """All eigenvalues of a weight, ascending."""
-    if isinstance(w, DiagonalWeight):
-        return tuple(sorted(w.entries))
-    m = w.matrix
-    if w.d == 1:
-        return (m[0][0],)
-    if w.d == 2:
-        return _eig2(m[0][0], m[0][1], m[1][1])
-    return _eig3(m)
+    return w.eigenvalues
 
 
 def smallest_eigenvalue(w):

@@ -80,6 +80,17 @@ class TestBounds:
         assert code == 0
         assert payload["value"] == pytest.approx(math.sqrt(3.0) / math.pi, rel=1e-7)
 
+    def test_maxwell_huge_permittivity_keeps_poincare_arm(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "maxwell",
+            "--lengths", "1,1,1", "--eps", "full:1e160,1e159,0,1e160,0,1e160",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        eps_max = payload["inputs"]["eps_max"]
+        assert eps_max == pytest.approx(1.1e160, rel=1e-12)
+        assert payload["value"] >= math.sqrt(eps_max) * math.sqrt(3.0) / math.pi * (1.0 - 1e-11)
+
     def test_deterministic_output(self, capsys):
         argv = ["bounds", "friedrichs", "--lengths", "1,1", "--weight", "diag:1,0.01"]
         _, first, _ = run(capsys, *argv)
@@ -153,6 +164,34 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "--alpha" in err and "positive definite" in err and err.count("\n") == 1
 
+    def test_overflowing_weight_is_one_line_error(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "friedrichs", "--lengths", "0.296,0.676,0.98",
+            "--weight", "full:-1e191,-1e108,1e110,1.16,-0.634,2.54", "--method", "coarse",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "maxwell", "--lengths", "1,1,1", "--eps-max", "nan"],
+            ["bounds", "maxwell", "--lengths", "1,1,1", "--eps-max", "inf"],
+            ["experiment", "table2", "--levels", "0", "--constants", "nan,1"],
+            ["experiment", "table2", "--levels", "0", "--constants", "inf,1"],
+            ["experiment", "table2", "--levels", "0", "--constants", "a,1"],
+            ["experiment", "table2", "--levels", "0", "--f", "nan"],
+            ["experiment", "table2", "--levels", "0", "--f", "inf"],
+        ],
+    )
+    def test_bad_number_is_usage_error(self, capsys, monkeypatch, argv):
+        from fria import majorant
+
+        monkeypatch.setattr(majorant, "build_lshape", None)  # no mesh may be built
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""
@@ -202,6 +241,16 @@ class TestExperiment:
             capsys, "experiment", "table2", "--levels", "0:0", "--constants", "1,2,3"
         )
         assert out.splitlines()[0] == "level,elements,M_1,M_2,M_3"
+
+    def test_tiny_alpha_is_solved(self, capsys):
+        # the determinant 1e-600 underflows; the inverse 1e300 does not
+        code, out, err = run(
+            capsys, "experiment", "table2", "--levels", "0:1", "--alpha", "diag:1e-300,1e-300"
+        )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["0", "384"], ["1", "1536"]]
+        assert all(math.isfinite(float(v)) and float(v) > 0.0 for r in rows for v in r[2:])
 
     def test_bad_levels(self, capsys):
         code, _, err = run(capsys, "experiment", "table2", "--levels", "a:b")

@@ -63,6 +63,9 @@ class TestEvaluate:
         field = rt_average(s, IDENT)
         with pytest.raises(ValueError):
             evaluate_majorant(0.0, s, field, IDENT, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_majorant(bad, s, field, IDENT, 1.0)
 
 
 class TestExperiment:
@@ -99,6 +102,8 @@ class TestExperiment:
         monkeypatch.setattr(majorant, "build_lshape", None)
         with pytest.raises(ValueError, match="positive"):
             run_refinement_experiment([0], ANISO, 1.0, [0.31829, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            run_refinement_experiment([0], ANISO, 1.0, [math.nan])
 
     def test_determinism(self):
         a = run_refinement_experiment([0], ANISO, 1.0, [0.31829])

@@ -54,6 +54,12 @@ class TestFromParts:
         with pytest.raises(ValueError):
             maxwell_from_parts(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for parts in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                maxwell_from_parts(*parts)
+
 
 class TestMaxwellInput:
     def test_defaults(self):
@@ -79,6 +85,11 @@ class TestMaxwellInput:
         # rounding slack of 1e-12 relative, as for the diameter
         inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)), eps_max=1.0 - 1e-13)
         assert inp.eps_max == 1.0 - 1e-13
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_eps_max(self, bad):
+        with pytest.raises(WeightError, match="finite"):
+            MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)), eps_max=bad)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(WeightError):

@@ -1,0 +1,83 @@
+"""Property tests over symmetric weights of extreme magnitude.
+
+Entries are zeros, subnormals or +-10^u with u uniform in (-300, 300).
+Every ``bounds`` call through the CLI must end with exit code 0, 1 or 2,
+print finite JSON on success and one ``fria:`` line otherwise.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fria.cli import main  # noqa: E402
+from fria.weights import FullWeight, sym_eigenvalues  # noqa: E402
+
+SIGN = st.sampled_from([-1.0, 1.0])
+ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda s, u: s * 10.0**u, SIGN, st.floats(-300.0, 300.0)),
+    st.builds(lambda s, k: s * k * 5e-324, SIGN, st.integers(1, 2**52 - 1)),
+)
+LENGTH = st.builds(lambda u: 10.0**u, st.floats(-160.0, 160.0))
+
+
+def upper(d):
+    return st.lists(ENTRY, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_outcome(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+
+
+def text(values):
+    return "full:" + ",".join(repr(v) for v in values)
+
+
+PROPS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@PROPS
+@given(st.integers(2, 3).flatmap(upper))
+def test_eigenvalues_ascending(values):
+    lam = sym_eigenvalues(FullWeight.from_upper(values))
+    assert all(a <= b for a, b in zip(lam, lam[1:]))
+
+
+@PROPS
+@given(
+    st.integers(2, 3).flatmap(lambda d: st.tuples(upper(d), st.lists(LENGTH, min_size=d, max_size=d))),
+    st.sampled_from(["auto", "mikhlin", "coarse", "thmA", "thmA2", "semidef"]),
+)
+def test_friedrichs_cli_outcome(case, method):
+    values, lengths = case
+    argv = ["bounds", "friedrichs", "--lengths", ",".join(repr(l) for l in lengths),
+            "--weight", text(values), "--method", method]
+    check_outcome(*run_cli(argv))
+
+
+@PROPS
+@given(upper(3), st.lists(LENGTH, min_size=3, max_size=3), st.sampled_from(["auto", "coarse"]))
+def test_maxwell_cli_outcome(values, lengths, method):
+    argv = ["bounds", "maxwell", "--lengths", ",".join(repr(l) for l in lengths),
+            "--eps", text(values), "--method", method]
+    check_outcome(*run_cli(argv))

@@ -56,15 +56,58 @@ class TestSmallestEigenvalue:
         with pytest.raises(WeightError, match="not symmetric"):
             FullWeight(((1.0, 2.0), (3.0, 4.0)))
 
-    def test_against_lapack_oracle(self):
+    def test_pinned_against_50_digit_reference(self):
+        # the trigonometric closed form returned 0.014190648176518947 here
+        # (4.0e-5 relative); LAPACK's error is about eps * max|lambda|
+        w = parse_weight(
+            "full:72.2373557980888,195.61206341018206,-112.79494324047118,"
+            "529.8176080452685,-305.4982675479622,176.17234646954554"
+        )
+        lam_max = largest_eigenvalue(w)
+        assert smallest_eigenvalue(w) == pytest.approx(
+            0.014191210514586532, rel=0, abs=1e-12 * lam_max
+        )
+
+    def test_against_mpmath_reference(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(7)
-        for _ in range(500):
+        weights = []
+        for _ in range(150):
             d = int(rng.integers(2, 4))
-            w = random_symmetric(rng, d, scale=float(10.0 ** rng.integers(-2, 3)))
-            ref = np.linalg.eigvalsh(np.asarray(w.matrix))
-            ours = np.asarray(sym_eigenvalues(w))
-            scale = max(1.0, float(np.abs(ref).max()))
-            assert np.abs(ours - ref).max() <= 1e-13 * scale
+            weights.append(random_symmetric(rng, d, scale=float(10.0 ** rng.integers(-3, 4))))
+        for _ in range(150):
+            # a nearly repeated pair, split by 1e-14 .. 1e-6 relative
+            d = int(rng.integers(2, 4))
+            lam = 10.0 ** rng.uniform(-3.0, 3.0, d) * rng.choice([-1.0, 1.0], d)
+            lam[1] = lam[0] * (1.0 + 10.0 ** rng.uniform(-14.0, -6.0))
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            m = (q * lam) @ q.T
+            m = 0.5 * (m + m.T)
+            weights.append(FullWeight(tuple(tuple(row) for row in m)))
+        for w in weights:
+            with mpmath.workdps(50):
+                # the float entries converted exactly, solved to 50 digits
+                ref = sorted(float(e) for e in mpmath.eigsy(mpmath.matrix(w.matrix))[0])
+            ours = sym_eigenvalues(w)
+            scale = max(abs(v) for v in ref)
+            assert max(abs(a - b) for a, b in zip(ours, ref)) <= 1e-12 * scale
+
+    def test_full_weight_solves_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        w = FullWeight(CALPHA2.entries)
+        assert smallest_eigenvalue(w) < largest_eigenvalue(w)
+        assert sym_eigenvalues(w) == w.eigenvalues
+        assert len(calls) == 1
+        assert all(type(v) is float for v in w.eigenvalues)
+
+    def test_magnitudes_near_the_float_limits(self):
+        # the squared entries of a closed form overflow here
+        w = parse_weight("full:1e160,1e159,0,1e160,0,1e160")
+        assert sym_eigenvalues(w) == pytest.approx((9e159, 1e160, 1.1e160), rel=1e-14)
+        w = parse_weight("full:-1e191,-1e108,1e110,1.16,-0.634,2.54")
+        assert smallest_eigenvalue(w) == pytest.approx(-1e191, rel=1e-14)
 
     def test_scaling(self):
         rng = np.random.default_rng(3)
