@@ -30,7 +30,7 @@ from .maxwell import (
     maxwell_full,
     poincare_convex_bound,
 )
-from .mesh import TriMesh, build_lshape, build_unit_square, dump_mesh, validate
+from .mesh import TriMesh, build_lshape, build_unit_square, dump_mesh, prolongation, validate
 from .oracle import EigenEstimate, estimate_cfa, reference_energy_error
 from .weights import (
     DiagonalWeight,

@@ -89,7 +89,14 @@ def defect_norm(field, solution, alpha):
 
 
 def flux_defect_norms(field, solution, alpha, f):
-    """The two majorant ingredients: (||f + div y||, ||y - alpha grad u||_inv)."""
+    """The two majorant ingredients: (||f + div y||, ||y - alpha grad u||_inv).
+
+    Raises ValueError when either norm leaves the float range.
+    """
     if field.mesh is not solution.mesh:
         raise ValueError("flux and solution live on different meshes")
-    return residual_norm(field, f), defect_norm(field, solution, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = residual_norm(field, f), defect_norm(field, solution, alpha)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"majorant norms {norms[0]}, {norms[1]} left the float range")
+    return norms

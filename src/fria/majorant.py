@@ -32,11 +32,18 @@ def _positive(c_tilde):
     return c_tilde
 
 
+def _total(c_tilde, residual, defect):
+    total = c_tilde * residual + defect
+    if not math.isfinite(total):
+        raise ValueError(f"majorant total for constant {c_tilde} left the float range")
+    return total
+
+
 def evaluate_majorant(c_tilde, solution, field, alpha, f):
     """Evaluate the error majorant for a given constant bound c~."""
     c_tilde = _positive(c_tilde)
     residual, defect = flux_defect_norms(field, solution, alpha, f)
-    return MajorantBreakdown(c_tilde, residual, defect, c_tilde * residual + defect)
+    return MajorantBreakdown(c_tilde, residual, defect, _total(c_tilde, residual, defect))
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ def run_refinement_experiment(levels, alpha, f, constants, sink=None):
             sink(level, solution)
         field = rt_average(solution, alpha)
         residual, defect = flux_defect_norms(field, solution, alpha, f)
-        totals = tuple(c * residual + defect for c in constants)
+        totals = tuple(_total(c, residual, defect) for c in constants)
         rows.append(ExperimentRow(level, mesh.num_triangles, totals))
     return rows
 

@@ -16,6 +16,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .weights import DInterval
 
@@ -180,11 +181,9 @@ def _build_grid(n, keep, domain, level):
     its corners a, b, c, d counterclockwise from the lower left.
     """
     cells = keep.T
-    used = np.zeros((n + 1, n + 1), dtype=bool)
-    used[:-1, :-1] |= cells
-    used[:-1, 1:] |= cells
-    used[1:, :-1] |= cells
-    used[1:, 1:] |= cells
+    # a vertex is used when any of the (up to) four cells around it is kept
+    pad = np.pad(cells, 1)
+    used = pad[1:, 1:] | pad[1:, :-1] | pad[:-1, 1:] | pad[:-1, :-1]
     index = np.full((n + 1, n + 1), -1, dtype=np.int64)
     index[used] = np.arange(np.count_nonzero(used))
     vj, vi = np.nonzero(used)
@@ -216,6 +215,35 @@ def build_unit_square(n):
     if n > 16 * 2**MAX_LEVEL:
         raise MeshError(f"n = {n} exceeds the refinement guard")
     return _build_grid(n, np.ones((n, n), dtype=bool), "square", n)
+
+
+def prolongation(coarse, fine):
+    """CSR matrix (fine x coarse vertices) of exact P1 interpolation onto a
+    nested refinement.  With ``r = fine.n / coarse.n``, a coarse triangle
+    with lattice corners ``p_k`` holds the fine lattice points
+    ``sum_k (b_k / r) p_k``, ``b_k >= 0``, ``sum_k b_k = r``; each fine
+    vertex takes the weights ``b / r`` of the first triangle holding it."""
+    if fine.domain != coarse.domain:
+        raise MeshError("meshes triangulate different domains")
+    r = fine.n // coarse.n
+    not_nested = MeshError(f"mesh with n={fine.n} is not a nested refinement of n={coarse.n}")
+    if r * coarse.n != fine.n:
+        raise not_nested
+    # the vertex (i, j) / fine.n has the key i + j * (fine.n + 1)
+    key = (fine.n, fine.n * (fine.n + 1))
+    vertex_keys = np.rint(fine.vertices @ key).astype(np.int64)
+    corner_keys = np.rint(coarse.vertices @ key).astype(np.int64)[coarse.triangles]
+    lo, hi = np.triu_indices(r + 1)
+    b = np.column_stack((lo, hi - lo, r - hi))
+    found, first = np.unique(corner_keys @ b.T // r, return_index=True)
+    if not np.array_equal(found, np.sort(vertex_keys)):
+        raise not_nested
+    tri, bary = np.divmod(first[np.searchsorted(found, vertex_keys)], len(b))
+    rows = np.repeat(np.arange(fine.num_vertices), 3)
+    shape = (fine.num_vertices, coarse.num_vertices)
+    p = sp.csr_matrix((b[bary].ravel() / r, (rows, coarse.triangles[tri].ravel())), shape)
+    p.eliminate_zeros()
+    return p
 
 
 def validate(m):

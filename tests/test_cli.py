@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -190,6 +191,15 @@ class TestErrors:
         monkeypatch.setattr(majorant, "build_lshape", None)  # no mesh may be built
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("f", ["1e300", "1e155"])
+    def test_huge_load_is_one_line_error(self, capsys, f):
+        # 1e300 overflows CG's inner products, 1e155 the majorant norms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run(capsys, "experiment", "table2", "--levels", "0", "--f", f)
+        assert code == 2 and out == ""
         assert err.startswith("fria: ") and err.count("\n") == 1
 
     def test_mesh_without_interior_is_computational_error(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ class TestConjugateGradients:
         b = np.ones(system.shape[0])
         with pytest.raises(SolverError, match="did not reach"):
             conjugate_gradients(system, b, rtol=1e-14, maxiter=2)
+
+    def test_overflowing_inner_product_raises(self, mesh_cache):
+        m = mesh_cache("square", 8)
+        system = reduce_system(assemble_stiffness(m, IDENT), m)
+        b = np.full(system.shape[0], 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="float range"):
+                conjugate_gradients(system, b)
 
     def test_indefinite_detected(self):
         system = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))

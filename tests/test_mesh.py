@@ -6,13 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fria.fem import assemble_mass, assemble_stiffness
 from fria.mesh import (
     MeshError,
     build_lshape,
     build_unit_square,
     dump_mesh,
+    prolongation,
     validate,
 )
+from fria.weights import DiagonalWeight, FullWeight
 
 DIGESTS = Path(__file__).with_name("mesh_digests.json")
 DIGEST_MESHES = [("lshape", k) for k in range(6)] + [
@@ -191,6 +194,90 @@ def test_dump_format(mesh_cache):
     # boundary edges carry one triangle, the interior diagonal two
     edge_fields = [line.split() for line in lines[e_start + 1 :]]
     assert sorted(len(f) for f in edge_fields) == [3, 3, 3, 3, 4]
+
+
+NESTED_PAIRS = [
+    ("lshape", 0, 1),
+    ("lshape", 0, 3),
+    ("lshape", 1, 3),
+    ("square", 16, 48),
+    ("square", 8, 64),
+    ("square", 8, 8),
+    ("lshape", 2, 2),
+]
+
+
+def linear(v):
+    return 2.0 * v[:, 0] - 3.0 * v[:, 1] + 0.5
+
+
+def brute_force_interpolation(coarse, fine, values):
+    """P1 interpolant at every fine vertex by a barycentric test against
+    every coarse triangle."""
+    corners = coarse.vertices[coarse.triangles]
+    edges = np.stack((corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=2)
+    rel = fine.vertices[:, None, :] - corners[None, :, 0, :]
+    lam12 = np.einsum("tab,vtb->vta", np.linalg.inv(edges), rel)
+    lam = np.concatenate((1.0 - lam12.sum(axis=2, keepdims=True), lam12), axis=2)
+    inside = (lam >= -1e-12).all(axis=2)
+    assert inside.any(axis=1).all()
+    tri = inside.argmax(axis=1)
+    chosen = lam[np.arange(fine.num_vertices), tri]
+    return np.einsum("vk,vk->v", chosen, values[coarse.triangles[tri]])
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("domain,lo,hi", NESTED_PAIRS)
+    def test_reproduces_linear_functions(self, mesh_cache, domain, lo, hi):
+        coarse, fine = mesh_cache(domain, lo), mesh_cache(domain, hi)
+        p = prolongation(coarse, fine)
+        assert p.shape == (fine.num_vertices, coarse.num_vertices)
+        assert np.abs(p @ linear(coarse.vertices) - linear(fine.vertices)).max() <= 1e-14
+
+    @pytest.mark.parametrize("domain,lo,hi", NESTED_PAIRS)
+    def test_rows_sum_to_one(self, mesh_cache, domain, lo, hi):
+        p = prolongation(mesh_cache(domain, lo), mesh_cache(domain, hi))
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+        assert p.data.min() > 0.0
+
+    @pytest.mark.parametrize("domain,k", [("square", 8), ("lshape", 0), ("lshape", 2)])
+    def test_identity_at_ratio_one(self, mesh_cache, domain, k):
+        m = mesh_cache(domain, k)
+        p = prolongation(m, m)
+        assert p.nnz == m.num_vertices
+        assert np.array_equal(p.toarray(), np.eye(m.num_vertices))
+
+    @pytest.mark.parametrize("domain,lo,hi", [("lshape", 0, 2), ("square", 16, 48)])
+    @pytest.mark.parametrize(
+        "alpha", [DiagonalWeight((1.0, 1e-4)), FullWeight(((2.0, 0.5), (0.5, 1.0)))]
+    )
+    def test_galerkin_coarse_operators(self, mesh_cache, domain, lo, hi, alpha):
+        coarse, fine = mesh_cache(domain, lo), mesh_cache(domain, hi)
+        p = prolongation(coarse, fine)
+        for assemble in (lambda m: assemble_stiffness(m, alpha), assemble_mass):
+            want = assemble(coarse)
+            got = (p.T @ assemble(fine) @ p).toarray()
+            assert np.abs(got - want.toarray()).max() <= 1e-14 * np.abs(want).max()
+
+    def test_agrees_with_brute_force_location(self, mesh_cache):
+        coarse, fine = mesh_cache("lshape", 0), mesh_cache("lshape", 1)
+        values = np.random.default_rng(5).standard_normal(coarse.num_vertices)
+        want = brute_force_interpolation(coarse, fine, values)
+        assert np.abs(prolongation(coarse, fine) @ values - want).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "pair, match",
+        [
+            ((("square", 16), ("square", 24)), "nested"),
+            ((("square", 16), ("square", 8)), "nested"),
+            ((("lshape", 1), ("lshape", 0)), "nested"),
+            ((("lshape", 0), ("square", 16)), "domain"),
+        ],
+    )
+    def test_rejects_non_nested(self, mesh_cache, pair, match):
+        (dc, kc), (df, kf) = pair
+        with pytest.raises(MeshError, match=match):
+            prolongation(mesh_cache(dc, kc), mesh_cache(df, kf))
 
 
 def build(domain, k):

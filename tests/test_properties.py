@@ -3,11 +3,17 @@
 Entries are zeros, subnormals or +-10^u with u uniform in (-300, 300).
 Every ``bounds`` call through the CLI must end with exit code 0, 1 or 2,
 print finite JSON on success and one ``fria:`` line otherwise.
+
+The spectral oracle's constant estimate must stay below the best bound of
+the enclosing unit box for diagonal and rotated weights with eigenvalues
+10^u, u uniform in (-4, 4).
 """
 
 import contextlib
+import functools
 import io
 import json
+import math
 
 import pytest
 
@@ -16,7 +22,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fria.cli import main  # noqa: E402
-from fria.weights import FullWeight, sym_eigenvalues  # noqa: E402
+from fria.friedrichs import best_bound  # noqa: E402
+from fria.mesh import build_lshape, build_unit_square  # noqa: E402
+from fria.oracle import estimate_cfa  # noqa: E402
+from fria.weights import DiagonalWeight, DInterval, FullWeight, sym_eigenvalues  # noqa: E402
 
 SIGN = st.sampled_from([-1.0, 1.0])
 ENTRY = st.one_of(
@@ -81,3 +90,30 @@ def test_maxwell_cli_outcome(values, lengths, method):
     argv = ["bounds", "maxwell", "--lengths", ",".join(repr(l) for l in lengths),
             "--eps", text(values), "--method", method]
     check_outcome(*run_cli(argv))
+
+
+EIGENVALUE = st.builds(lambda u: 10.0**u, st.floats(-4.0, 4.0))
+
+
+def rotated(lam1, lam2, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    off = (lam1 - lam2) * c * s
+    return FullWeight(((lam1 * c * c + lam2 * s * s, off), (off, lam1 * s * s + lam2 * c * c)))
+
+
+@functools.cache
+def oracle_meshes():
+    return build_unit_square(8), build_lshape(0)
+
+
+@PROPS
+@given(
+    st.one_of(
+        st.builds(lambda a, b: DiagonalWeight((a, b)), EIGENVALUE, EIGENVALUE),
+        st.builds(rotated, EIGENVALUE, EIGENVALUE, st.floats(0.0, math.pi)),
+    )
+)
+def test_oracle_below_best_bound(w):
+    bound = best_bound(DInterval((1.0, 1.0)), w).value
+    for mesh in oracle_meshes():
+        assert estimate_cfa(mesh, w).c_estimate <= bound
