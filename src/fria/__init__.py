@@ -15,7 +15,6 @@ from .friedrichs import (
     coarse_bound,
     coercivity_threshold,
     diagonal_bound,
-    directional_bound,
     full_bound,
     mikhlin_bound,
     semidef_bound,
@@ -37,7 +36,6 @@ from .weights import (
     DInterval,
     FullWeight,
     WeightError,
-    dominates,
     largest_eigenvalue,
     parse_weight,
     smallest_eigenvalue,

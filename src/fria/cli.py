@@ -82,14 +82,6 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-
-
 def _csv_table(deltas, rows):
     lines = ["delta," + ",".join(f"{d:.0e}" for d in deltas)]
     for name, values in rows:
@@ -171,7 +163,7 @@ def _cmd_experiment(args):
     sink = _solution_writer(args.solutions) if args.solutions else None
     rows = majorant.run_refinement_experiment(levels, alpha, args.f, constants, sink=sink)
     columns = _experiment_columns(constants)
-    if args.fmt == "json":
+    if args.out == "json" or str(args.out).endswith(".json"):
         payload = [
             dict(
                 {"level": r.level, "elements": r.elements},
@@ -190,14 +182,12 @@ def _cmd_experiment(args):
 
 def _cmd_oracle(args):
     alpha = _weight_flag(args.alpha, "--alpha")
-    if args.domain == "square":
-        mesh = build_unit_square(args.n)
-    else:
-        mesh = build_lshape(args.level)
     if alpha.d != 2:
         raise UsageError("--alpha must be 2-dimensional")
-    estimate = oracle.estimate_cfa(mesh, alpha)
+    # refuses a weight without a bound before any mesh is built
     bound = friedrichs.best_bound(DInterval((1.0, 1.0)), alpha).value
+    mesh = build_unit_square(args.n) if args.domain == "square" else build_lshape(args.level)
+    estimate = oracle.estimate_cfa(mesh, alpha)
     payload = {
         "lambda_min": estimate.lambda_min,
         "c_estimate": estimate.c_estimate,
@@ -205,15 +195,6 @@ def _cmd_oracle(args):
         "margin": bound - estimate.c_estimate,
     }
     return json.dumps(_jsonify(payload)) + "\n"
-
-
-def _split_out(value, default_fmt):
-    """--out takes the literal 'csv'/'json' (stdout) or a file path."""
-    if value is None:
-        return default_fmt, None
-    if value in ("csv", "json"):
-        return value, None
-    return ("json" if value.endswith(".json") else "csv"), value
 
 
 def build_parser():
@@ -225,23 +206,16 @@ def build_parser():
     bf = bsub.add_parser("friedrichs")
     bf.add_argument("--lengths", required=True, help="box side lengths, e.g. 1,1")
     bf.add_argument("--weight", help="diag:a,b[,c] or full:upper-triangle (default identity)")
-    bf.add_argument(
-        "--method",
-        default="auto",
-        choices=list(_FRIEDRICHS_FORMULAS),
-    )
-    bf.add_argument("--out", help="output path (default stdout)")
+    bf.add_argument("--method", default="auto", choices=list(_FRIEDRICHS_FORMULAS))
     bm = bsub.add_parser("maxwell")
     bm.add_argument("--lengths", required=True, help="box side lengths, e.g. 1,1,1")
     bm.add_argument("--eps", help="permittivity matrix (default identity)")
     bm.add_argument("--diam", type=float, help="domain diameter (default box diagonal)")
     bm.add_argument("--eps-max", type=float, dest="eps_max", help="largest eigenvalue override")
     bm.add_argument("--method", default="auto", choices=["auto", "coarse"])
-    bm.add_argument("--out", help="output path (default stdout)")
 
     table = sub.add_parser("table", help="reference value grid as CSV")
     table.add_argument("number", type=int, choices=[1, 3])
-    table.add_argument("--out", help="output path (default stdout)")
 
     experiment = sub.add_parser("experiment", help="L-shape refinement study")
     esub = experiment.add_subparsers(dest="kind", required=True)
@@ -254,7 +228,6 @@ def build_parser():
         default=",".join(str(c) for c in majorant.TABLE2_CONSTANTS),
         help="comma-separated constant bounds fed to the majorant",
     )
-    e2.add_argument("--out", help="'csv', 'json', or an output path")
     e2.add_argument(
         "--solutions",
         metavar="DIR",
@@ -268,37 +241,34 @@ def build_parser():
     cfa.add_argument("--n", type=int, default=64, help="square grid resolution")
     cfa.add_argument("--level", type=int, default=0, help="lshape refinement level")
     cfa.add_argument("--alpha", default="diag:1,1")
-    cfa.add_argument("--out", help="output path (default stdout)")
+
+    for leaf, run in (
+        (bf, _cmd_bounds_friedrichs),
+        (bm, _cmd_bounds_maxwell),
+        (table, _cmd_table),
+        (e2, _cmd_experiment),
+        (cfa, _cmd_oracle),
+    ):
+        leaf.add_argument("--out", help="'csv' or 'json' (stdout), or an output path")
+        leaf.set_defaults(run=run)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.verb == "bounds":
-            text = (
-                _cmd_bounds_friedrichs(args)
-                if args.kind == "friedrichs"
-                else _cmd_bounds_maxwell(args)
-            )
-            _, path = _split_out(args.out, "json")
-        elif args.verb == "table":
-            text = _cmd_table(args)
-            _, path = _split_out(args.out, "csv")
-        elif args.verb == "experiment":
-            args.fmt, path = _split_out(args.out, "csv")
-            text = _cmd_experiment(args)
-        else:
-            text = _cmd_oracle(args)
-            _, path = _split_out(args.out, "json")
+        args = build_parser().parse_args(argv)
+        text = args.run(args)
     except UsageError as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 1
     except (WeightError, ValueError, MeshError, SolverError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 2
-    _emit(text, path)
+    if args.out in (None, "csv", "json"):
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return 0
 
 

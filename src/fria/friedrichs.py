@@ -90,13 +90,23 @@ def coarse_bound(box, w):
     return BoundReport(value, "coarse", _digest(box, w))
 
 
+def _as_diagonal(w):
+    """An exactly diagonal full weight as its diagonal part; others unchanged."""
+    return w.diagonal_part() if isinstance(w, FullWeight) and w.is_diagonal else w
+
+
+def _directional(box, d, method):
+    """1 / (pi sqrt(sum a_i/l_i^2)) over the positive entries a_i of ``d``."""
+    s = sum(a / (l * l) for a, l in zip(d.entries, box.lengths) if a > 0.0)
+    return _inverse_root(s, method)
+
+
 def diagonal_bound(box, w):
     """Per-direction bound 1 / (pi sqrt(sum a_i/l_i^2)) for positive diagonals.
 
     An exactly diagonal full weight is taken as its diagonal part.
     """
-    if isinstance(w, FullWeight) and w.is_diagonal:
-        w = w.diagonal_part()
+    w = _as_diagonal(w)
     if not isinstance(w, DiagonalWeight):
         raise WeightError("diagonal bound needs a diagonal weight")
     _check_dims(box, w)
@@ -105,8 +115,7 @@ def diagonal_bound(box, w):
             "diagonal bound needs strictly positive entries; "
             "route nonnegative weights through semidef_bound"
         )
-    s = sum(a / (l * l) for a, l in zip(w.entries, box.lengths))
-    return BoundReport(_inverse_root(s, "thmA"), "thmA", _digest(box, w))
+    return BoundReport(_directional(box, w, "thmA"), "thmA", _digest(box, w))
 
 
 def full_bound(box, w):
@@ -120,8 +129,7 @@ def full_bound(box, w):
             f"tilde not positive definite: reduction diag{t.entries} "
             "has a nonpositive entry"
         )
-    value = diagonal_bound(box, t).value
-    return BoundReport(value, "thmA2", _digest(box, w))
+    return BoundReport(_directional(box, t, "thmA2"), "thmA2", _digest(box, w))
 
 
 def semidef_bound(box, w):
@@ -141,35 +149,20 @@ def semidef_bound(box, w):
         )
     if not any(a > 0.0 for a in d.entries):
         raise BoundUnavailable("semidef bound needs at least one positive entry")
-    s = sum(a / (l * l) for a, l in zip(d.entries, box.lengths) if a > 0.0)
-    value = _inverse_root(s, "semidef")
+    value = _directional(box, d, "semidef")
     seminorm = d is not w or any(a == 0.0 for a in d.entries)
     return BoundReport(value, "semidef", _digest(box, w), seminorm=seminorm)
-
-
-def directional_bound(length, mode="both_ends"):
-    """One-dimensional constant for a single coordinate direction.
-
-    ``both_ends``: zero boundary values at both interval ends, constant
-    l/pi.  ``one_end``: zero value at one end only, constant l/sqrt(2).
-    """
-    length = float(length)
-    if not (math.isfinite(length) and length > 0.0):
-        raise WeightError(f"length must be positive, got {length}")
-    if mode == "both_ends":
-        return length / math.pi
-    if mode == "one_end":
-        return length / math.sqrt(2.0)
-    raise ValueError(f"unknown mode {mode!r}, expected 'both_ends' or 'one_end'")
 
 
 def sharp_bound(box, w):
     """The sharp formula the weight qualifies for.
 
-    Diagonal weights take the per-direction bound, or the semidef bound
-    when an entry is zero; full weights take the tilde-reduced bound when
-    the reduction is positive, else the semidef bound of the reduction.
+    Diagonal weights, exactly diagonal full ones included, take the
+    per-direction bound, or the semidef bound when an entry is zero; full
+    weights take the tilde-reduced bound when the reduction is positive,
+    else the semidef bound of the reduction.
     """
+    w = _as_diagonal(w)
     if isinstance(w, DiagonalWeight):
         return semidef_bound(box, w) if 0.0 in w.entries else diagonal_bound(box, w)
     if tilde_reduction(w).uniformly_positive:
@@ -183,8 +176,7 @@ def best_bound(box, w):
     An exactly diagonal full weight is routed as its diagonal part.
     """
     _check_dims(box, w)
-    if isinstance(w, FullWeight) and w.is_diagonal:
-        w = w.diagonal_part()
+    w = _as_diagonal(w)
     cands = []
     refusals = []
     for formula in (sharp_bound, coarse_bound):

@@ -77,4 +77,3 @@ def run_refinement_experiment(levels, alpha, f, constants, sink=None):
 
 # the printed 5-decimal constants the reference experiment uses
 TABLE2_CONSTANTS = (22.50791, 0.31829)
-TABLE2_LEVELS = (0, 1, 2, 3, 4)

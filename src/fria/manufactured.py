@@ -13,7 +13,7 @@ import numpy as np
 
 from .fem import lumped_load, solve_dirichlet
 from .flux import defect_norm, rt_divergence
-from .majorant import MajorantBreakdown
+from .majorant import MajorantBreakdown, _positive, _total
 from .quadrature import gauss_collapsed, integrate, physical_points
 from .weights import DiagonalWeight
 
@@ -96,6 +96,7 @@ def exact_energy_error(solution):
 def majorant_total(c_tilde, solution, field, quad_order=12):
     """Error majorant with the smooth source integrated by high-order
     quadrature (the residual integrand is no longer piecewise constant)."""
+    c_tilde = _positive(c_tilde)
     mesh = solution.mesh
     bary, wq = gauss_collapsed(quad_order)
     pts = physical_points(mesh, bary)
@@ -103,4 +104,4 @@ def majorant_total(c_tilde, solution, field, quad_order=12):
     vals = source(pts[:, :, 0], pts[:, :, 1]) + div[:, None]
     residual = float(np.sqrt(integrate(mesh, vals * vals, wq)))
     defect = defect_norm(field, solution, IDENTITY2)
-    return MajorantBreakdown(c_tilde, residual, defect, c_tilde * residual + defect)
+    return MajorantBreakdown(c_tilde, residual, defect, _total(c_tilde, residual, defect))

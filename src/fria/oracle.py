@@ -9,6 +9,7 @@ overestimate the eigenvalue, so the returned constant estimate
 used one-sidedly against the closed-form bounds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .fem import (
     reduce_system,
 )
 from .mesh import prolongation
+from .weights import FullWeight, largest_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,16 @@ def estimate_cfa(mesh, alpha):
     The shift trails the Rayleigh quotient with a safety margin tied to
     the current relative eigen-residual; if a shift overshoots the target
     eigenvalue the inner CG detects the indefinite system and the shift
-    backs off.
+    backs off.  The iteration runs on alpha / s for the power of two
+    s <= lambda_max(alpha) < 2 s, so any weight magnitude stays in float
+    range; stiffness and every iterate scale exactly by s.
     """
-    k = reduce_system(assemble_stiffness(mesh, alpha), mesh)
+    top = largest_eigenvalue(alpha)
+    if not top > 0.0:
+        raise SolverError(f"weight has no positive eigenvalue (largest {top})")
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
+    k = reduce_system(assemble_stiffness(mesh, scaled), mesh)
     m = reduce_system(assemble_mass(mesh), mesh)
     if k.shape[0] == 0:
         raise SolverError("mesh has no interior vertices: refine it")
@@ -74,8 +83,10 @@ def estimate_cfa(mesh, alpha):
         res = float(np.linalg.norm(kv - lam * mv))
         rel = res / (lam * float(np.linalg.norm(mv)))
         if rel <= TOL:
+            if not lam * s < math.inf:
+                raise SolverError(f"smallest eigenvalue {lam} * {s} overflows")
             return EigenEstimate(
-                lam, 1.0 / np.sqrt(lam), it, res / float(np.linalg.norm(v))
+                lam * s, 1.0 / np.sqrt(lam * s), it, s * res / float(np.linalg.norm(v))
             )
         # margin 6 covers the mass-conditioning factor between the
         # 2-norm residual and the eigenvalue error bound

@@ -1,8 +1,7 @@
 """Quadrature rules on triangles.
 
-``midpoint3`` (edge midpoints, degree 2) is the production rule for the
-quadratic flux-defect integrand; the 7-point degree-5 rule and the
-collapsed tensor Gauss rule serve as independent cross-checks and for
+``MIDPOINT3`` (edge midpoints, degree 2) is the production rule for the
+quadratic flux-defect integrand; the collapsed tensor Gauss rule serves
 smooth non-polynomial integrands.
 """
 
@@ -13,36 +12,6 @@ import numpy as np
 MIDPOINT3 = (
     np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
     np.array([1.0, 1.0, 1.0]) / 3.0,
-)
-
-_A1 = 0.059715871789770
-_B1 = 0.470142064105115
-_A2 = 0.797426985353087
-_B2 = 0.101286507323456
-
-DEGREE5 = (
-    np.array(
-        [
-            [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-            [_A1, _B1, _B1],
-            [_B1, _A1, _B1],
-            [_B1, _B1, _A1],
-            [_A2, _B2, _B2],
-            [_B2, _A2, _B2],
-            [_B2, _B2, _A2],
-        ]
-    ),
-    np.array(
-        [
-            0.225,
-            0.132394152788506,
-            0.132394152788506,
-            0.132394152788506,
-            0.125939180544827,
-            0.125939180544827,
-            0.125939180544827,
-        ]
-    ),
 )
 
 

@@ -3,7 +3,8 @@
 All weights are real and constant over the domain.  Diagonal weights are
 stored as their diagonal, full weights as an exactly symmetric d x d tuple
 matrix with d <= 3.  A full weight's eigenvalues come from LAPACK
-(``numpy.linalg.eigvalsh``), computed once per weight and cached.
+(``numpy.linalg.eigvalsh``); they and its tilde reduction are computed
+once per weight and cached.
 """
 
 import functools
@@ -147,7 +148,7 @@ class FullWeight:
         """All eigenvalues, ascending, from one LAPACK call per weight."""
         return tuple(float(v) for v in np.linalg.eigvalsh(self.entries))
 
-    @property
+    @functools.cached_property
     def is_diagonal(self):
         return all(
             self.entries[i][j] == 0.0
@@ -158,6 +159,14 @@ class FullWeight:
 
     def diagonal_part(self):
         return DiagonalWeight(tuple(self.entries[i][i] for i in range(self.d)))
+
+    @functools.cached_property
+    def _tilde(self):
+        # tilde_reduction, once per weight: the bound routes ask for it repeatedly
+        m, d = self.entries, self.d
+        return DiagonalWeight(
+            [m[i][i] - sum(abs(m[i][j]) for j in range(d) if j != i) for i in range(d)]
+        )
 
     def digest(self):
         return {"full": [list(row) for row in self.entries]}
@@ -179,35 +188,7 @@ def largest_eigenvalue(w):
 def tilde_reduction(w):
     """Diagonal minorant: each diagonal entry minus its row's off-diagonal
     magnitudes.  Entries of the result may be negative."""
-    if isinstance(w, DiagonalWeight):
-        return w
-    m = w.matrix
-    if w.d == 1:
-        return DiagonalWeight((m[0][0],))
-    if w.d == 2:
-        off = abs(m[0][1])
-        return DiagonalWeight((m[0][0] - off, m[1][1] - off))
-    a12, a13, a23 = abs(m[0][1]), abs(m[0][2]), abs(m[1][2])
-    return DiagonalWeight(
-        (m[0][0] - (a12 + a13), m[1][1] - (a12 + a23), m[2][2] - (a13 + a23))
-    )
-
-
-def dominates(w, t):
-    """True iff the quadratic form of ``w - t`` is positive semi-definite.
-
-    Holds by construction whenever ``t`` is the tilde reduction of ``w``
-    (the difference is diagonally dominant with nonnegative diagonal).
-    """
-    mw = w.matrix
-    mt = t.matrix
-    if w.d != t.d:
-        raise WeightError("dimension mismatch between weight and reduction")
-    diff = tuple(
-        tuple(mw[i][j] - mt[i][j] for j in range(w.d)) for i in range(w.d)
-    )
-    scale = max(1.0, max(abs(v) for row in diff for v in row))
-    return smallest_eigenvalue(FullWeight(diff)) >= -1e-12 * scale
+    return w if isinstance(w, DiagonalWeight) else w._tilde
 
 
 def parse_weight(text):

@@ -202,6 +202,41 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("fria: ") and err.count("\n") == 1
 
+    def test_oracle_three_dimensional_alpha_builds_no_mesh(self, capsys, monkeypatch):
+        from fria import cli
+
+        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "oracle", "cfa", "--n", "4096", "--alpha", "diag:1,1,1")
+        assert code == 1 and out == ""
+        assert err == "fria: --alpha must be 2-dimensional\n"
+
+    @pytest.mark.parametrize("alpha", ["full:1,2,1", "diag:0,0", "full:-1,0,-1"])
+    def test_oracle_refuses_weight_without_bound(self, capsys, monkeypatch, alpha):
+        from fria import cli, oracle
+
+        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(oracle, "estimate_cfa", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "oracle", "cfa", "--n", "8", "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert err.startswith("fria: no bound applies: ") and err.count("\n") == 1
+        _, _, bounds_err = run(
+            capsys, "bounds", "friedrichs", "--lengths", "1,1", "--weight", alpha
+        )
+        assert err == bounds_err
+
+    @pytest.mark.parametrize("alpha", ["diag:1e-300,1e-300", "diag:1e300,1e300"])
+    def test_oracle_extreme_magnitude(self, capsys, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "oracle", "cfa", "--n", "8", "--alpha", alpha)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert 0.0 < payload["c_estimate"] < payload["bound_thmA"]
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""

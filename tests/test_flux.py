@@ -14,11 +14,30 @@ from fria.flux import (
     rt_values,
 )
 from fria.mesh import _finalize, build_unit_square
-from fria.quadrature import DEGREE5, physical_points
+from fria.quadrature import physical_points
 from fria.weights import DiagonalWeight, FullWeight
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
+
+# 7-point degree-5 rule on the reference triangle (barycentric points,
+# weights summing to 1), an independent cross-check of the production rule
+_A1, _B1 = 0.059715871789770, 0.470142064105115
+_A2, _B2 = 0.797426985353087, 0.101286507323456
+DEGREE5 = (
+    np.array(
+        [
+            [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+            [_A1, _B1, _B1],
+            [_B1, _A1, _B1],
+            [_B1, _B1, _A1],
+            [_A2, _B2, _B2],
+            [_B2, _A2, _B2],
+            [_B2, _B2, _A2],
+        ]
+    ),
+    np.array([0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3),
+)
 
 
 def interpolant(mesh, fn):

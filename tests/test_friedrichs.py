@@ -10,7 +10,6 @@ from fria.friedrichs import (
     coarse_bound,
     coercivity_threshold,
     diagonal_bound,
-    directional_bound,
     full_bound,
     mikhlin_bound,
     semidef_bound,
@@ -126,19 +125,6 @@ class TestSemidef:
     def test_rejects_negative(self):
         with pytest.raises(BoundUnavailable):
             semidef_bound(UNIT_SQUARE, DiagonalWeight((-1.0, 1.0)))
-
-
-class TestDirectional:
-    def test_both_ends(self):
-        assert directional_bound(1.0, "both_ends") == pytest.approx(1.0 / math.pi, rel=1e-15)
-        assert directional_bound(math.pi, "both_ends") == pytest.approx(1.0, rel=1e-15)
-
-    def test_one_end(self):
-        assert directional_bound(1.0, "one_end") == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            directional_bound(1.0, "sideways")
 
 
 class TestBestBound:

@@ -8,7 +8,7 @@ from fria.fem import P1Solution, nodal_gradients, solve_diffusion
 from fria.flux import RT0Field, rt_average
 from fria.majorant import evaluate_majorant, run_refinement_experiment
 from fria.mesh import build_lshape, build_unit_square
-from fria.quadrature import DEGREE5, gauss_collapsed, physical_points
+from fria.quadrature import gauss_collapsed, physical_points
 from fria.weights import DiagonalWeight
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -156,6 +156,14 @@ class TestManufactured:
         a = manufactured.majorant_total(0.5, s, field, quad_order=12)
         b = manufactured.majorant_total(0.5, s, field, quad_order=16)
         assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_majorant_total_rejects_bad_constant(self, mesh_cache, bad):
+        m = mesh_cache("square", 8)
+        s = manufactured.solve(m)
+        field = rt_average(s, IDENT)
+        with pytest.raises(ValueError, match="finite and positive"):
+            manufactured.majorant_total(bad, s, field)
 
     def test_rejects_lshape(self, mesh_cache):
         with pytest.raises(ValueError):

@@ -153,6 +153,14 @@ class TestFull:
         b = maxwell_diagonal(MaxwellInput(UNIT_CUBE, w_diag))
         assert a.value == b.value
 
+    def test_exactly_diagonal_matrix_reports_diagonal_route(self):
+        # the same rule as best_bound: an exactly diagonal full matrix is diagonal
+        w_full = FullWeight(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1e-6)))
+        w_diag = DiagonalWeight((1.0, 1.0, 1e-6))
+        rep = maxwell_full(MaxwellInput(UNIT_CUBE, w_full))
+        assert rep.method == "thmA" and not rep.seminorm
+        assert rep.value == maxwell_diagonal(MaxwellInput(UNIT_CUBE, w_diag)).value
+
     def test_scalar_matrix(self):
         w = FullWeight(((4.0, 0, 0), (0, 4.0, 0), (0, 0, 4.0)))
         inp = MaxwellInput(UNIT_CUBE, w, diam=SQRT3)

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fria import manufactured
-from fria.fem import solve_diffusion
+from fria.fem import SolverError, solve_diffusion
 from fria.flux import rt_average
 from fria.friedrichs import coarse_bound, diagonal_bound, full_bound
 from fria.majorant import evaluate_majorant
@@ -68,6 +69,36 @@ class TestEigenEstimate:
         est = estimate_cfa(m, w)
         assert est.c_estimate <= full_bound(UNIT_SQUARE, w).value
         assert est.c_estimate <= coarse_bound(UNIT_SQUARE, w).value
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_magnitudes(self, mesh_cache, scale):
+        # the constant scales as 1/sqrt(alpha); no numpy warning on the way
+        m = mesh_cache("square", 8)
+        one = estimate_cfa(m, IDENT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_cfa(m, DiagonalWeight((scale, scale)))
+        assert est.c_estimate == pytest.approx(one.c_estimate / math.sqrt(scale), rel=1e-15)
+        assert est.lambda_min == pytest.approx(one.lambda_min * scale, rel=1e-15)
+
+    def test_power_of_two_scaling_is_exact(self, mesh_cache):
+        m = mesh_cache("square", 8)
+        w = FullWeight(((2.0, 0.5), (0.5, 1.0)))
+        one = estimate_cfa(m, w)
+        big = estimate_cfa(m, FullWeight(((2.0**600, 2.0**598), (2.0**598, 2.0**599))))
+        assert big.lambda_min == one.lambda_min * 2.0**599
+        assert big.iterations == one.iterations
+
+    @pytest.mark.parametrize(
+        "w", [DiagonalWeight((0.0, 0.0)), FullWeight(((-1.0, 0.0), (0.0, -1.0)))]
+    )
+    def test_no_positive_eigenvalue_raises(self, mesh_cache, w):
+        with pytest.raises(SolverError, match="no positive eigenvalue"):
+            estimate_cfa(mesh_cache("square", 8), w)
+
+    def test_eigenvalue_beyond_float_range_raises(self, mesh_cache):
+        with pytest.raises(SolverError, match="overflows"):
+            estimate_cfa(mesh_cache("square", 8), DiagonalWeight((1e307, 1e307)))
 
 
 class TestReferenceError:

@@ -6,7 +6,8 @@ print finite JSON on success and one ``fria:`` line otherwise.
 
 The spectral oracle's constant estimate must stay below the best bound of
 the enclosing unit box for diagonal and rotated weights with eigenvalues
-10^u, u uniform in (-4, 4).
+10^u, u uniform in (-300, 300); a rotated weight whose rounded entries
+leave no bound is skipped.
 """
 
 import contextlib
@@ -18,11 +19,11 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fria.cli import main  # noqa: E402
-from fria.friedrichs import best_bound  # noqa: E402
+from fria.friedrichs import BoundUnavailable, best_bound  # noqa: E402
 from fria.mesh import build_lshape, build_unit_square  # noqa: E402
 from fria.oracle import estimate_cfa  # noqa: E402
 from fria.weights import DiagonalWeight, DInterval, FullWeight, sym_eigenvalues  # noqa: E402
@@ -92,7 +93,7 @@ def test_maxwell_cli_outcome(values, lengths, method):
     check_outcome(*run_cli(argv))
 
 
-EIGENVALUE = st.builds(lambda u: 10.0**u, st.floats(-4.0, 4.0))
+EIGENVALUE = st.builds(lambda u: 10.0**u, st.floats(-300.0, 300.0))
 
 
 def rotated(lam1, lam2, angle):
@@ -114,6 +115,9 @@ def oracle_meshes():
     )
 )
 def test_oracle_below_best_bound(w):
-    bound = best_bound(DInterval((1.0, 1.0)), w).value
+    try:
+        bound = best_bound(DInterval((1.0, 1.0)), w).value
+    except BoundUnavailable:
+        reject()  # eigenvalues 1e16 apart and more round to a singular matrix
     for mesh in oracle_meshes():
         assert estimate_cfa(mesh, w).c_estimate <= bound

