@@ -5,7 +5,7 @@ value grids as CSV), ``experiment`` (the refinement study), ``oracle``
 (spectral verification).  Table output prints 5 decimals, JSON prints 12
 significant digits; identical command lines produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 computational failure.
+Exit codes: 0 success, 1 usage or output-path error, 2 computational failure.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import sys
 
 from . import friedrichs, majorant, maxwell, oracle, weights
 from .fem import SolverError
-from .mesh import MeshError, build_lshape, build_unit_square
+from .mesh import MAX_LEVEL, MeshError, build_lshape, build_unit_square
 from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 
 # --method name -> Friedrichs formula; also the argparse choices
@@ -53,12 +53,14 @@ def _parse_lengths(text):
 def _parse_levels(text):
     lo, sep, hi = text.partition(":")
     try:
-        levels = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise UsageError(f"--levels must be N or LO:HI, got {text!r}") from None
-    if not levels:
+    if lo > hi:
         raise UsageError(f"--levels range {text!r} is empty")
-    return levels
+    if lo < 0 or hi > MAX_LEVEL:
+        raise UsageError(f"--levels must lie in 0..{MAX_LEVEL}, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _weight_flag(text, flag):
@@ -257,18 +259,20 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        text = args.run(args)
-    except UsageError as exc:
+        if args.out in (None, "csv", "json"):
+            sys.stdout.write(args.run(args))
+        else:
+            # opened before any work and emptied only once the command succeeds
+            with open(args.out, "a") as fh:
+                text = args.run(args)
+                fh.truncate(0)
+                fh.write(text)
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 1
     except (WeightError, ValueError, MeshError, SolverError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 2
-    if args.out in (None, "csv", "json"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 

@@ -4,7 +4,7 @@ The exact solution is u = sin(pi x) sin(pi y) with unit diffusion and
 source f = 2 pi^2 u.  The source enters the discrete load by nodal
 interpolation with the standard lumped weights.  The energy error against
 the exact solution evaluates in closed form: the gradient of u integrates
-over every grid triangle to elementary trigonometric boundary terms.
+over any triangle to a sum of elementary trigonometric edge terms.
 """
 
 import math
@@ -21,6 +21,7 @@ IDENTITY2 = DiagonalWeight((1.0, 1.0))
 
 # squared energy norm of the exact solution, int |grad u|^2
 EXACT_ENERGY_SQ = math.pi**2 / 2.0
+_QUAD_ORDER = 12  # collapsed Gauss rule of the residual, 144 points per triangle
 
 
 def exact_solution(x, y):
@@ -39,49 +40,23 @@ def solve(mesh):
     return solve_dirichlet(mesh, IDENTITY2, lumped_load(mesh, nodal_f))
 
 
-def _edge_integral_horizontal(x0, x1, y):
-    # int_{x0}^{x1} u(x, y) dx
-    return np.sin(np.pi * y) * (np.cos(np.pi * x0) - np.cos(np.pi * x1)) / np.pi
-
-
-def _edge_integral_vertical(y0, y1, x):
-    return np.sin(np.pi * x) * (np.cos(np.pi * y0) - np.cos(np.pi * y1)) / np.pi
-
-
-def _edge_integral_diagonal(x0, y0, h):
-    # line integral of u along (x0 + t, y0 + t), t in [0, h]
-    s = x0 + y0
-    inner = h * np.cos(np.pi * (x0 - y0)) - (
-        np.sin(np.pi * (s + 2.0 * h)) - np.sin(np.pi * s)
-    ) / (2.0 * np.pi)
-    return math.sqrt(2.0) * 0.5 * inner
-
-
 def grad_u_integrals(mesh):
-    """Closed-form int_T grad u dA for every triangle of a square grid mesh.
+    """Closed-form int_T grad u dA for every triangle of a triangulation of
+    the unit square.
 
-    Evaluated as the boundary integral of u times the outward normal over
-    the three edges of each (axis-aligned right) triangle.
+    By the divergence theorem int_T grad u = sum over the edges e of T of
+    the outward normal times int_e u ds.  With u = [cos pi(x-y) -
+    cos pi(x+y)] / 2 both x - y and x + y are affine along an edge, so the
+    edge mean of each cosine is its midpoint value times sinc(increment/2).
     """
-    tris = mesh.triangles
-    p0 = mesh.vertices[tris[:, 0]]
-    p1 = mesh.vertices[tris[:, 1]]
-    lower = np.isclose(p1[:, 1], p0[:, 1])
-    x0, y0 = p0[:, 0], p0[:, 1]
-    # second vertex is (x0+h, y0) on lower and (x0+h, y0+h) on upper cells
-    h = p1[:, 0] - p0[:, 0]
-    diag = _edge_integral_diagonal(x0, y0, h)
-    over_sqrt2 = diag / math.sqrt(2.0)
-    out = np.empty((mesh.num_triangles, 2))
-    # lower triangle (x0,y0)-(x0+h,y0)-(x0+h,y0+h): bottom, right, diagonal
-    gx_lo = _edge_integral_vertical(y0, y0 + h, x0 + h) - over_sqrt2
-    gy_lo = -_edge_integral_horizontal(x0, x0 + h, y0) + over_sqrt2
-    # upper triangle (x0,y0)-(x0+h,y0+h)-(x0,y0+h): diagonal, top, left
-    gx_up = over_sqrt2 - _edge_integral_vertical(y0, y0 + h, x0)
-    gy_up = _edge_integral_horizontal(x0, x0 + h, y0 + h) - over_sqrt2
-    out[:, 0] = np.where(lower, gx_lo, gx_up)
-    out[:, 1] = np.where(lower, gy_lo, gy_up)
-    return out
+    ends = mesh.vertices[mesh.edges]
+    rotate = np.array([[1.0, 1.0], [-1.0, 1.0]])  # (x, y) -> (x - y, x + y)
+    mid = (0.5 * (ends[:, 0] + ends[:, 1])) @ rotate
+    step = (ends[:, 1] - ends[:, 0]) @ rotate
+    cosines = np.cos(np.pi * mid) * np.sinc(0.5 * step)
+    along = 0.5 * mesh.edge_lengths * (cosines[:, 0] - cosines[:, 1])
+    flux = along[:, None] * mesh.edge_normals
+    return np.einsum("te,tex->tx", mesh.tri_edge_signs, flux[mesh.tri_edges])
 
 
 def exact_energy_error(solution):
@@ -93,12 +68,12 @@ def exact_energy_error(solution):
     return float(math.sqrt(max(EXACT_ENERGY_SQ - 2.0 * cross + own, 0.0)))
 
 
-def majorant_total(c_tilde, solution, field, quad_order=12):
+def majorant_total(c_tilde, solution, field):
     """Error majorant with the smooth source integrated by high-order
     quadrature (the residual integrand is no longer piecewise constant)."""
     c_tilde = _positive(c_tilde)
     mesh = solution.mesh
-    bary, wq = gauss_collapsed(quad_order)
+    bary, wq = gauss_collapsed(_QUAD_ORDER)
     pts = physical_points(mesh, bary)
     div = rt_divergence(field)
     vals = source(pts[:, :, 0], pts[:, :, 1]) + div[:, None]

@@ -144,6 +144,35 @@ class TestErrors:
         assert "--levels" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "friedrichs", "--lengths", "1,1", "--out", "/nonexistent/dir/x.json"],
+            ["table", "1", "--out", "."],
+            ["experiment", "table2", "--levels", "0", "--out", "/proc/nope.json"],
+            ["experiment", "table2", "--levels", "0", "--solutions", "/etc/passwd"],
+            ["experiment", "table2", "--levels", "0:9"],
+            ["experiment", "table2", "--levels", "-1"],
+        ],
+    )
+    def test_bad_path_or_level_exits_before_any_work(self, capsys, monkeypatch, argv):
+        from fria import majorant
+
+        monkeypatch.setattr(majorant, "build_lshape", None)  # no mesh may be built
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_failed_command_keeps_existing_output(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("kept\n")
+        argv = ["experiment", "table2", "--levels", "0", "--f", "1e300", "--out", str(path)]
+        assert run(capsys, *argv)[0] == 2
+        assert path.read_text() == "kept\n"
+        assert run(capsys, "table", "1", "--out", str(path))[0] == 0
+        assert path.read_text() == run(capsys, "table", "1")[1]
+
+    @pytest.mark.parametrize(
         "argv, want",
         [
             (["--lengths", "1e-200,1"], 1),

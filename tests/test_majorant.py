@@ -7,7 +7,7 @@ from fria import majorant, manufactured
 from fria.fem import P1Solution, nodal_gradients, solve_diffusion
 from fria.flux import RT0Field, rt_average
 from fria.majorant import evaluate_majorant, run_refinement_experiment
-from fria.mesh import build_lshape, build_unit_square
+from fria.mesh import _finalize, build_lshape, build_unit_square, validate
 from fria.quadrature import gauss_collapsed, physical_points
 from fria.weights import DiagonalWeight
 
@@ -112,8 +112,13 @@ class TestExperiment:
 
 
 class TestManufactured:
-    def test_gradient_integrals_match_quadrature(self):
-        m = build_unit_square(5)
+    @pytest.mark.parametrize("first_corner", [0, 1], ids=["square", "rolled"])
+    def test_gradient_integrals_match_quadrature(self, first_corner):
+        # a valid mesh may list each triangle from any of its corners
+        square = build_unit_square(5)
+        rolled = np.roll(square.triangles, first_corner, axis=1)
+        m = _finalize(square.vertices, rolled, "square", 5, 5)
+        assert validate(m) == []
         produced = manufactured.grad_u_integrals(m)
         bary, wq = gauss_collapsed(14)
         pts = physical_points(m, bary)
@@ -148,13 +153,15 @@ class TestManufactured:
         bd = manufactured.majorant_total(c, s, field)
         assert bd.total >= manufactured.exact_energy_error(s)
 
-    def test_residual_quadrature_converged(self, mesh_cache):
+    def test_residual_quadrature_converged(self, mesh_cache, monkeypatch):
         # order 12 and order 16 collapsed rules agree to machine precision
         m = mesh_cache("square", 8)
         s = manufactured.solve(m)
         field = rt_average(s, IDENT)
-        a = manufactured.majorant_total(0.5, s, field, quad_order=12)
-        b = manufactured.majorant_total(0.5, s, field, quad_order=16)
+        assert manufactured._QUAD_ORDER == 12
+        a = manufactured.majorant_total(0.5, s, field)
+        monkeypatch.setattr(manufactured, "_QUAD_ORDER", 16)
+        b = manufactured.majorant_total(0.5, s, field)
         assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-13)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
