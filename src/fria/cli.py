@@ -128,12 +128,6 @@ def _cmd_table(args):
     return _csv_table(maxwell.TABLE3_DELTAS, maxwell.table3_rows())
 
 
-def _experiment_columns(constants):
-    if len(constants) == 2:
-        return ["M_coarse", "M_thmA"]
-    return [f"M_{i + 1}" for i in range(len(constants))]
-
-
 def _solution_writer(directory):
     os.makedirs(directory, exist_ok=True)
 
@@ -164,7 +158,10 @@ def _cmd_experiment(args):
         raise UsageError(f"--f must be finite, got {args.f}")
     sink = _solution_writer(args.solutions) if args.solutions else None
     rows = majorant.run_refinement_experiment(levels, alpha, args.f, constants, sink=sink)
-    columns = _experiment_columns(constants)
+    if tuple(constants) == majorant.TABLE2_CONSTANTS:
+        columns = ["M_coarse", "M_thmA"]
+    else:
+        columns = [f"M_{i + 1}" for i in range(len(constants))]
     if args.out == "json" or str(args.out).endswith(".json"):
         payload = [
             dict(
@@ -267,10 +264,11 @@ def main(argv=None):
                 text = args.run(args)
                 fh.truncate(0)
                 fh.write(text)
-    except (UsageError, OSError) as exc:
+    # the mesh builders raise MeshError only for a bad --n or --level, before any work
+    except (UsageError, OSError, MeshError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 1
-    except (WeightError, ValueError, MeshError, SolverError) as exc:
+    except (WeightError, ValueError, SolverError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 2
     return 0

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 # relative residual of the Galerkin solves
 RTOL = 1e-10
+_ITERS_PER_UNKNOWN = 10  # CG iteration budget
 
 
 class SolverError(RuntimeError):
@@ -68,9 +69,8 @@ def assemble_mass(mesh):
 
 def lumped_load(mesh, nodal_f):
     """Load vector sum_T |T|/3 f(v_i), exact for constant f."""
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-    return out * nodal_f
+    shares = np.repeat(mesh.areas / 3.0, 3)
+    return np.bincount(mesh.triangles.ravel(), shares, mesh.num_vertices) * nodal_f
 
 
 def reduce_system(matrix, mesh):
@@ -81,17 +81,16 @@ def reduce_system(matrix, mesh):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def conjugate_gradients(a, b, rtol=RTOL, maxiter=None):
+def conjugate_gradients(a, b, rtol=RTOL):
     """Jacobi-preconditioned CG on the CSR matrix ``a`` to a relative
-    residual of ``rtol``.
+    residual of ``rtol`` within ``_ITERS_PER_UNKNOWN`` iterations per unknown.
 
     Raises :class:`SolverError` on non-convergence, if an inner product
     leaves the float range, or if a search direction sees nonpositive
     curvature (indefinite matrix).
     """
     n = a.shape[0]
-    if maxiter is None:
-        maxiter = 10 * n
+    maxiter = _ITERS_PER_UNKNOWN * n
     norm_b = np.linalg.norm(b)
     x = np.zeros(n)
     if norm_b == 0.0:

@@ -48,11 +48,10 @@ class BoundReport:
             raise ValueError(f"bound value must be finite and positive, got {self.value}")
 
 
-def _digest(box, w=None, **extra):
-    out = dict(box.digest())
+def _digest(box, w=None):
+    out = box.digest()
     if w is not None:
         out["weight"] = w.digest()
-    out.update(extra)
     return out
 
 
@@ -175,7 +174,6 @@ def best_bound(box, w):
 
     An exactly diagonal full weight is routed as its diagonal part.
     """
-    _check_dims(box, w)
     w = _as_diagonal(w)
     cands = []
     refusals = []

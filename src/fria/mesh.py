@@ -12,13 +12,10 @@ the higher index; boundary normals point out of the domain.  This fixes
 all signs of the lowest-order Raviart-Thomas degrees of freedom.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .weights import DInterval
 
 MAX_LEVEL = 8
 
@@ -84,11 +81,6 @@ class TriMesh:
     @property
     def boundary_edges(self):
         return np.flatnonzero(self.edge_tris[:, 1] < 0)
-
-    def bounding_box(self):
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return DInterval(tuple(hi - lo))
 
 
 def _twice_signed_areas(corners):
@@ -284,7 +276,7 @@ def validate(m):
 
 def _rows(table):
     """The rows of a 2-D string array, their entries joined by spaces."""
-    return functools.reduce(lambda a, b: np.char.add(np.char.add(a, " "), b), table.T)
+    return [" ".join(row) for row in table.tolist()]
 
 
 def dump_mesh(m):

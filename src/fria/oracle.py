@@ -96,14 +96,9 @@ def estimate_cfa(mesh, alpha):
     raise SolverError(f"inverse iteration did not converge in {MAX_OUTER} steps")
 
 
-def prolong(coarse_solution, fine_mesh):
-    """Exact P1 interpolation of a coarse solution onto a nested mesh."""
-    values = prolongation(coarse_solution.mesh, fine_mesh) @ coarse_solution.values
-    return P1Solution(fine_mesh, values, nodal_gradients(fine_mesh, values))
-
-
 def reference_energy_error(coarse_solution, reference_solution, alpha):
     """Energy norm of (prolonged coarse - reference) on the reference mesh."""
     fine = reference_solution.mesh
-    diff = prolong(coarse_solution, fine).values - reference_solution.values
+    lifted = prolongation(coarse_solution.mesh, fine) @ coarse_solution.values
+    diff = lifted - reference_solution.values
     return energy_norm(P1Solution(fine, diff, nodal_gradients(fine, diff)), alpha)

@@ -41,8 +41,3 @@ def physical_points(mesh, bary):
     """
     corners = mesh.vertices[mesh.triangles]
     return np.einsum("kb,tbx->tkx", bary, corners)
-
-
-def integrate(mesh, values, weights):
-    """Sum w_k * f(x_tk) * |T_t| given per-triangle point values (t, k)."""
-    return np.einsum("tk,k,t->", values, weights, mesh.areas)

@@ -209,8 +209,6 @@ def parse_weight(text):
     if not values:
         raise WeightError(f"weight {text!r} has no entries")
     if head == "diag":
-        if len(values) > 3:
-            raise WeightError(f"diagonal weight supports up to 3 entries, got {len(values)}")
         if any(v < 0.0 for v in values):
             raise WeightError("diagonal weight entries must be nonnegative")
         return DiagonalWeight(tuple(values))

@@ -266,6 +266,22 @@ class TestErrors:
         payload = json.loads(out)
         assert 0.0 < payload["c_estimate"] < payload["bound_thmA"]
 
+    @pytest.mark.parametrize(
+        "size",
+        [
+            ["--domain", "lshape", "--level", "9"],
+            ["--domain", "lshape", "--level", "-1"],
+            ["--n", "0"],
+            ["--n", "-3"],
+            ["--n", "5000"],
+        ],
+    )
+    def test_oracle_bad_mesh_size_is_usage_error(self, capsys, size):
+        code, out, err = run(capsys, "oracle", "cfa", *size)
+        assert code == 1 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""
@@ -310,11 +326,21 @@ class TestExperiment:
         # boundary vertex 0 sits at the domain corner, value exactly zero
         assert lines[1] == "0,0"
 
-    def test_custom_constants_column_names(self, capsys):
+    @pytest.mark.parametrize(
+        "constants, header",
+        [
+            ("1,2,3", "M_1,M_2,M_3"),
+            # only the reference constants, in their order, are named by formula
+            ("0.31829,22.50791", "M_1,M_2"),
+            ("1,2", "M_1,M_2"),
+        ],
+    )
+    def test_custom_constants_column_names(self, capsys, constants, header):
         code, out, _ = run(
-            capsys, "experiment", "table2", "--levels", "0:0", "--constants", "1,2,3"
+            capsys, "experiment", "table2", "--levels", "0:0", "--constants", constants
         )
-        assert out.splitlines()[0] == "level,elements,M_1,M_2,M_3"
+        assert code == 0
+        assert out.splitlines()[0] == "level,elements," + header
 
     def test_tiny_alpha_is_solved(self, capsys):
         # the determinant 1e-600 underflows; the inverse 1e300 does not

@@ -17,7 +17,7 @@ from fria.fem import (
     solve_diffusion,
 )
 from fria.friedrichs import best_bound
-from fria.mesh import build_unit_square
+from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -109,6 +109,16 @@ class TestAssembly:
         load = lumped_load(m, 2.0)
         assert load.sum() == pytest.approx(2.0 * 1.0, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "domain, k", [("lshape", 0), ("lshape", 1), ("lshape", 2), ("lshape", 3), ("square", 7)]
+    )
+    def test_load_matches_unbuffered_scatter(self, mesh_cache, domain, k):
+        m = mesh_cache(domain, k)
+        nodal_f = np.random.default_rng(k).standard_normal(m.num_vertices)
+        expected = np.zeros(m.num_vertices)
+        np.add.at(expected, m.triangles.ravel(), np.repeat(m.areas / 3.0, 3))
+        assert np.array_equal(lumped_load(m, nodal_f), expected * nodal_f)
+
 
 class TestEnergyNorm:
     def test_zero(self, mesh_cache):
@@ -130,12 +140,13 @@ class TestEnergyNorm:
 
 
 class TestConjugateGradients:
-    def test_nonconvergence_raises(self, mesh_cache):
+    def test_nonconvergence_raises(self, mesh_cache, monkeypatch):
         m = mesh_cache("square", 8)
         system = reduce_system(assemble_stiffness(m, IDENT), m)
         b = np.ones(system.shape[0])
-        with pytest.raises(SolverError, match="did not reach"):
-            conjugate_gradients(system, b, rtol=1e-14, maxiter=2)
+        monkeypatch.setattr(fem, "_ITERS_PER_UNKNOWN", 0)
+        with pytest.raises(SolverError, match="did not reach rtol=1e-14 within 0 iterations"):
+            conjugate_gradients(system, b, rtol=1e-14)
 
     def test_overflowing_inner_product_raises(self, mesh_cache):
         m = mesh_cache("square", 8)

@@ -177,9 +177,6 @@ class TestStructure:
             j = list(m.tri_edges[t]).index(e)
             assert m.tri_edge_signs[t, j] == 1.0
 
-    def test_bounding_box(self, mesh_cache):
-        assert mesh_cache("lshape", 0).bounding_box().lengths == (1.0, 1.0)
-
 
 def test_dump_format(mesh_cache):
     m = build_unit_square(1)
