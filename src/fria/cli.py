@@ -70,13 +70,9 @@ def _weight_flag(text, flag):
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _json_float(x):
-    return float(f"{x:.12g}")
-
-
 def _jsonify(obj):
     if isinstance(obj, float):
-        return _json_float(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -84,11 +80,12 @@ def _jsonify(obj):
     return obj
 
 
-def _csv_table(deltas, rows):
-    lines = ["delta," + ",".join(f"{d:.0e}" for d in deltas)]
-    for name, values in rows:
-        lines.append(name + "," + ",".join(f"{v:.5f}" for v in values))
-    return "\n".join(lines) + "\n"
+def _csv(rows):
+    """One line per row; floats print 5 decimals, anything else as str."""
+    return "".join(
+        ",".join(f"{v:.5f}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
 
 
 def _report_json(report):
@@ -124,8 +121,11 @@ def _cmd_bounds_maxwell(args):
 
 def _cmd_table(args):
     if args.number == 1:
-        return _csv_table(friedrichs.TABLE1_DELTAS, friedrichs.table1_rows())
-    return _csv_table(maxwell.TABLE3_DELTAS, maxwell.table3_rows())
+        deltas, rows = friedrichs.TABLE1_DELTAS, friedrichs.table1_rows()
+    else:
+        deltas, rows = maxwell.TABLE3_DELTAS, maxwell.table3_rows()
+    header = ["delta", *(f"{d:.0e}" for d in deltas)]
+    return _csv([header, *([name, *values] for name, values in rows)])
 
 
 def _solution_writer(directory):
@@ -162,30 +162,26 @@ def _cmd_experiment(args):
         columns = ["M_coarse", "M_thmA"]
     else:
         columns = [f"M_{i + 1}" for i in range(len(constants))]
+    header = ["level", "elements", *columns]
+    table = [[r.level, r.elements, *r.majorants] for r in rows]
     if args.out == "json" or str(args.out).endswith(".json"):
-        payload = [
-            dict(
-                {"level": r.level, "elements": r.elements},
-                **{c: _json_float(v) for c, v in zip(columns, r.majorants)},
-            )
-            for r in rows
-        ]
-        return json.dumps(payload) + "\n"
-    lines = ["level,elements," + ",".join(columns)]
-    for r in rows:
-        lines.append(
-            f"{r.level},{r.elements}," + ",".join(f"{v:.5f}" for v in r.majorants)
-        )
-    return "\n".join(lines) + "\n"
+        return json.dumps(_jsonify([dict(zip(header, row)) for row in table])) + "\n"
+    return _csv([header, *table])
 
 
 def _cmd_oracle(args):
+    other = "level" if args.domain == "square" else "n"
+    if getattr(args, other) is not None:
+        raise UsageError(f"--{other} does not apply to --domain {args.domain}")
     alpha = _weight_flag(args.alpha, "--alpha")
     if alpha.d != 2:
         raise UsageError("--alpha must be 2-dimensional")
     # refuses a weight without a bound before any mesh is built
     bound = friedrichs.best_bound(DInterval((1.0, 1.0)), alpha).value
-    mesh = build_unit_square(args.n) if args.domain == "square" else build_lshape(args.level)
+    if args.domain == "square":
+        mesh = build_unit_square(64 if args.n is None else args.n)
+    else:
+        mesh = build_lshape(0 if args.level is None else args.level)
     estimate = oracle.estimate_cfa(mesh, alpha)
     payload = {
         "lambda_min": estimate.lambda_min,
@@ -237,8 +233,8 @@ def build_parser():
     osub = orc.add_subparsers(dest="kind", required=True)
     cfa = osub.add_parser("cfa")
     cfa.add_argument("--domain", default="square", choices=["square", "lshape"])
-    cfa.add_argument("--n", type=int, default=64, help="square grid resolution")
-    cfa.add_argument("--level", type=int, default=0, help="lshape refinement level")
+    cfa.add_argument("--n", type=int, help="square grid resolution (default 64)")
+    cfa.add_argument("--level", type=int, help="lshape refinement level (default 0)")
     cfa.add_argument("--alpha", default="diag:1,1")
 
     for leaf, run in (

@@ -137,10 +137,10 @@ def solve_dirichlet(mesh, alpha, load):
 
 
 def solve_diffusion(mesh, alpha, f):
-    """Galerkin solution of the diffusion problem with constant source f."""
-    f = float(f)
-    load = lumped_load(mesh, f)
-    return solve_dirichlet(mesh, alpha, load)
+    """Galerkin solution of the diffusion problem with source f: a constant,
+    or a callable f(x, y) interpolated at the vertices."""
+    nodal_f = f(mesh.vertices[:, 0], mesh.vertices[:, 1]) if callable(f) else float(f)
+    return solve_dirichlet(mesh, alpha, lumped_load(mesh, nodal_f))
 
 
 def energy_norm(solution, alpha):

@@ -282,6 +282,25 @@ class TestErrors:
         assert err.startswith("fria: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--domain", "lshape", "--n", "5000"],
+            ["--domain", "lshape", "--n", "8"],
+            ["--n", "8", "--level", "99"],
+            ["--domain", "square", "--level", "0"],
+        ],
+    )
+    def test_oracle_refuses_other_domains_size_flag(self, capsys, monkeypatch, flags):
+        from fria import cli
+
+        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(cli, "build_lshape", None)
+        code, out, err = run(capsys, "oracle", "cfa", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("fria: ") and "does not apply" in err
+        assert err.count("\n") == 1
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""

@@ -72,6 +72,13 @@ class TestSolve:
         ]
         assert energies == sorted(energies)
 
+    @pytest.mark.parametrize("domain, k", [("lshape", 0), ("square", 8)])
+    def test_callable_source_matches_constant(self, mesh_cache, domain, k):
+        m = mesh_cache(domain, k)
+        a = solve_diffusion(m, ANISO, 1.0)
+        b = solve_diffusion(m, ANISO, lambda x, y: np.full_like(x, 1.0))
+        assert np.array_equal(a.values, b.values)
+
     def test_continuous_dependence_on_load(self, mesh_cache):
         m = mesh_cache("lshape", 0)
         s = solve_diffusion(m, ANISO, 1.0)

@@ -178,6 +178,14 @@ class TestNorms:
         oracle = math.sqrt(np.einsum("tk,k,t->", vals * vals, wq, m.areas))
         assert produced == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("domain, k", [("lshape", 0), ("square", 8)])
+    def test_residual_of_constant_callable_matches_constant(self, mesh_cache, domain, k):
+        m = mesh_cache(domain, k)
+        s = solve_diffusion(m, ANISO, 1.0)
+        field = rt_average(s, ANISO)
+        produced = residual_norm(field, lambda x, y: np.full_like(x, 1.0))
+        assert produced == pytest.approx(residual_norm(field, 1.0), rel=1e-13)
+
     def test_singular_weight_rejected(self, mesh_cache):
         m = mesh_cache("square", 4)
         s = interpolant(m, lambda x, y: x)

@@ -1,0 +1,41 @@
+"""Source hygiene of the package, checked on the syntax tree alone."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fria"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(tree):
+    """(bound name, imported name, from-module) of every import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(bound for bound, _, _ in _imports(tree) if bound not in used)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_from_another_module(path):
+    tree = ast.parse(path.read_text())
+    private = sorted(
+        name
+        for _, name, origin in _imports(tree)
+        if origin is not None
+        and (origin.level > 0 or (origin.module or "").split(".")[0] == "fria")
+        and name.startswith("_")
+    )
+    assert private == [], f"{path.name} imports private names: {private}"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fria import majorant, manufactured
+from fria import flux, majorant, manufactured
 from fria.fem import P1Solution, nodal_gradients, solve_diffusion
 from fria.flux import RT0Field, rt_average
 from fria.majorant import evaluate_majorant, run_refinement_experiment
@@ -158,9 +158,9 @@ class TestManufactured:
         m = mesh_cache("square", 8)
         s = manufactured.solve(m)
         field = rt_average(s, IDENT)
-        assert manufactured._QUAD_ORDER == 12
+        assert flux._QUAD_ORDER == 12
         a = manufactured.majorant_total(0.5, s, field)
-        monkeypatch.setattr(manufactured, "_QUAD_ORDER", 16)
+        monkeypatch.setattr(flux, "_QUAD_ORDER", 16)
         b = manufactured.majorant_total(0.5, s, field)
         assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-13)
 
@@ -171,6 +171,27 @@ class TestManufactured:
         field = rt_average(s, IDENT)
         with pytest.raises(ValueError, match="finite and positive"):
             manufactured.majorant_total(bad, s, field)
+
+    def test_majorant_total_computes_norms_once(self, mesh_cache, monkeypatch):
+        m = mesh_cache("square", 8)
+        s = manufactured.solve(m)
+        field = rt_average(s, IDENT)
+        calls = []
+        real = majorant.flux_defect_norms
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(majorant, "flux_defect_norms", counted)
+        manufactured.majorant_total(0.5, s, field)
+        assert len(calls) == 1
+
+    def test_majorant_total_rejects_flux_of_another_mesh(self, mesh_cache):
+        s = manufactured.solve(mesh_cache("square", 8))
+        other = rt_average(manufactured.solve(mesh_cache("square", 4)), IDENT)
+        with pytest.raises(ValueError, match="different meshes"):
+            manufactured.majorant_total(0.5, s, other)
 
     def test_rejects_lshape(self, mesh_cache):
         with pytest.raises(ValueError):
