@@ -81,9 +81,9 @@ def reduce_system(matrix, mesh):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def conjugate_gradients(a, b, rtol=RTOL):
+def conjugate_gradients(a, b):
     """Jacobi-preconditioned CG on the CSR matrix ``a`` to a relative
-    residual of ``rtol`` within ``_ITERS_PER_UNKNOWN`` iterations per unknown.
+    residual of ``RTOL`` within ``_ITERS_PER_UNKNOWN`` iterations per unknown.
 
     Raises :class:`SolverError` on non-convergence, if an inner product
     leaves the float range, or if a search direction sees nonpositive
@@ -112,13 +112,13 @@ def conjugate_gradients(a, b, rtol=RTOL):
         step = rz / pap
         x += step * p
         r -= step * ap
-        if np.linalg.norm(r) <= rtol * norm_b:
+        if np.linalg.norm(r) <= RTOL * norm_b:
             return x, k
         z = r / diag
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise SolverError(f"CG did not reach rtol={rtol} within {maxiter} iterations")
+    raise SolverError(f"CG did not reach rtol={RTOL} within {maxiter} iterations")
 
 
 def solve_dirichlet(mesh, alpha, load):

@@ -53,7 +53,7 @@ class MaxwellInput:
                 f"eps_max {eps_max} is below the largest permittivity eigenvalue {lam_max}"
             )
         object.__setattr__(self, "diam", diam)
-        object.__setattr__(self, "eps_max", eps_max)
+        object.__setattr__(self, "eps_max", max(eps_max, lam_max))  # slack never lowers a bound
 
     def digest(self):
         return {

@@ -172,17 +172,12 @@ class FullWeight:
         return {"full": [list(row) for row in self.entries]}
 
 
-def sym_eigenvalues(w):
-    """All eigenvalues of a weight, ascending."""
-    return w.eigenvalues
-
-
 def smallest_eigenvalue(w):
-    return sym_eigenvalues(w)[0]
+    return w.eigenvalues[0]
 
 
 def largest_eigenvalue(w):
-    return sym_eigenvalues(w)[-1]
+    return w.eigenvalues[-1]
 
 
 def tilde_reduction(w):

@@ -152,8 +152,8 @@ class TestConjugateGradients:
         system = reduce_system(assemble_stiffness(m, IDENT), m)
         b = np.ones(system.shape[0])
         monkeypatch.setattr(fem, "_ITERS_PER_UNKNOWN", 0)
-        with pytest.raises(SolverError, match="did not reach rtol=1e-14 within 0 iterations"):
-            conjugate_gradients(system, b, rtol=1e-14)
+        with pytest.raises(SolverError, match="did not reach rtol=1e-10 within 0 iterations"):
+            conjugate_gradients(system, b)
 
     def test_overflowing_inner_product_raises(self, mesh_cache):
         m = mesh_cache("square", 8)

@@ -39,3 +39,26 @@ def test_no_private_name_from_another_module(path):
         and name.startswith("_")
     )
     assert private == [], f"{path.name} imports private names: {private}"
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE name that no module of the package reads is dead
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = sorted(
+        (name, target.id)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+    )
+    assert len(defined) >= 10, defined
+    unread = [f"{name}:{const}" for name, const in defined if const not in read]
+    assert unread == [], f"constants no module reads: {unread}"

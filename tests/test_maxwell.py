@@ -82,9 +82,9 @@ class TestMaxwellInput:
         # at or above the smallest eigenvalue but below the largest
         with pytest.raises(WeightError, match="eps_max"):
             MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 0.0)), eps_max=0.0)
-        # rounding slack of 1e-12 relative, as for the diameter
+        # rounding slack of 1e-12 relative, as for the diameter; the bound uses lambda_max
         inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)), eps_max=1.0 - 1e-13)
-        assert inp.eps_max == 1.0 - 1e-13
+        assert inp.eps_max == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_eps_max(self, bad):
@@ -116,6 +116,13 @@ class TestDiagonal:
     def test_reference_values(self, delta):
         inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, delta)), diam=SQRT3, eps_max=1.0)
         assert round(maxwell_diagonal(inp).value, 5) == 0.55133
+
+    def test_eps_max_in_the_slack_keeps_the_bound(self):
+        # an eps_max accepted just below lambda_max must not lower the bound under its formula
+        w = DiagonalWeight((1.0, 1.0, 1e-6))
+        below = maxwell_diagonal(MaxwellInput(UNIT_CUBE, w, eps_max=0.9999999999995))
+        assert below.value == maxwell_diagonal(MaxwellInput(UNIT_CUBE, w)).value
+        assert below.value >= 0.5513288954217921
 
     def test_semidefinite_direction_falls_back(self):
         inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 0.0)), eps_max=1.0)

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fria import manufactured
-from fria.fem import SolverError, solve_diffusion
+from fria import manufactured, oracle
+from fria.fem import SolverError, assemble_mass, assemble_stiffness, reduce_system, solve_diffusion
 from fria.flux import rt_average
 from fria.friedrichs import coarse_bound, diagonal_bound, full_bound
 from fria.majorant import evaluate_majorant
@@ -16,6 +17,13 @@ from fria.weights import DiagonalWeight, DInterval, FullWeight
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
 UNIT_SQUARE = DInterval((1.0, 1.0))
+
+
+def rotated(degrees, lam1, lam2):
+    """Weight with eigenvalues lam1, lam2 along axes turned by ``degrees``."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    q = np.array([[c, -s], [s, c]])
+    return FullWeight(tuple(map(tuple, q @ np.diag([lam1, lam2]) @ q.T)))
 
 
 class TestEigenEstimate:
@@ -51,9 +59,39 @@ class TestEigenEstimate:
         assert gaps[2] <= 0.01 * bound
 
     def test_residual_below_tolerance(self, mesh_cache):
-        est = estimate_cfa(mesh_cache("square", 32), ANISO)
+        m = mesh_cache("square", 32)
+        est = estimate_cfa(m, ANISO)
         assert est.residual <= 1e-8 * est.lambda_min
-        assert est.iterations <= 500
+        assert est.iterations <= oracle._STEPS_PER_UNKNOWN * len(m.interior_vertices)
+
+    @pytest.mark.parametrize("domain,k", [("square", 8), ("lshape", 0)])
+    @pytest.mark.parametrize(
+        "w",
+        [DiagonalWeight((1.0, 1e-2)), FullWeight(((2.0, 0.5), (0.5, 1.0))), rotated(30, 1.0, 1e-8)],
+        ids=["diag", "full", "rotated"],
+    )
+    def test_matches_dense_generalized_eigensolve(self, mesh_cache, domain, k, w):
+        m = mesh_cache(domain, k)
+        stiffness = reduce_system(assemble_stiffness(m, w), m).toarray()
+        mass = reduce_system(assemble_mass(m), m).toarray()
+        lams = scipy.linalg.eigh(stiffness, mass, eigvals_only=True)
+        # the dense solve is accurate to a small multiple of eps * lambda_max
+        rounding = 4.0 * np.finfo(float).eps * lams[-1]
+        est = estimate_cfa(m, w)
+        assert est.lambda_min == pytest.approx(lams[0], rel=1e-12)
+        assert est.c_estimate <= 1.0 / math.sqrt(lams[0] - rounding)
+
+    def test_exhausted_budget_raises(self, mesh_cache, monkeypatch):
+        monkeypatch.setattr(oracle, "_STEPS_PER_UNKNOWN", 0)
+        with pytest.raises(SolverError, match="did not converge"):
+            estimate_cfa(mesh_cache("square", 8), IDENT)
+
+    @pytest.mark.parametrize(
+        "w", [FullWeight(((1.0, 2.0), (2.0, 1.0))), DiagonalWeight((1.0, -0.5))]
+    )
+    def test_indefinite_stiffness_raises(self, mesh_cache, w):
+        with pytest.raises(SolverError, match="not positive definite"):
+            estimate_cfa(mesh_cache("square", 8), w)
 
     def test_bound_domination(self, mesh_cache):
         m = mesh_cache("square", 32)

@@ -26,7 +26,7 @@ from fria.cli import main  # noqa: E402
 from fria.friedrichs import BoundUnavailable, best_bound  # noqa: E402
 from fria.mesh import build_lshape, build_unit_square  # noqa: E402
 from fria.oracle import estimate_cfa  # noqa: E402
-from fria.weights import DiagonalWeight, DInterval, FullWeight, sym_eigenvalues  # noqa: E402
+from fria.weights import DiagonalWeight, DInterval, FullWeight  # noqa: E402
 
 SIGN = st.sampled_from([-1.0, 1.0])
 ENTRY = st.one_of(
@@ -69,7 +69,7 @@ PROPS = settings(max_examples=300, deadline=None, derandomize=True)
 @PROPS
 @given(st.integers(2, 3).flatmap(upper))
 def test_eigenvalues_ascending(values):
-    lam = sym_eigenvalues(FullWeight.from_upper(values))
+    lam = FullWeight.from_upper(values).eigenvalues
     assert all(a <= b for a, b in zip(lam, lam[1:]))
 
 
