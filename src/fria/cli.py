@@ -186,7 +186,7 @@ def _cmd_oracle(args):
     payload = {
         "lambda_min": estimate.lambda_min,
         "c_estimate": estimate.c_estimate,
-        "bound_thmA": bound,
+        "bound": bound,
         "margin": bound - estimate.c_estimate,
     }
     return json.dumps(_jsonify(payload)) + "\n"

@@ -3,7 +3,7 @@ weighted Friedrichs constant, and reference-based energy errors.
 
 The smallest generalized eigenvalue of (stiffness, consistent mass) on
 the interior vertices is found by block-size-1 LOBPCG (Knyazev, SIAM J.
-Sci. Comput. 23(2), 2001) with the Jacobi preconditioner.  Conforming
+Sci. Comput. 23(2), 2001), preconditioned by line relaxation.  Conforming
 Rayleigh quotients overestimate the eigenvalue, so the returned constant
 estimate 1/sqrt(lambda) underestimates the true constant at every
 iterate; it is used one-sidedly against the closed-form bounds.
@@ -20,6 +20,7 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     energy_norm,
+    line_preconditioner,
     nodal_gradients,
     reduce_system,
 )
@@ -52,9 +53,9 @@ def _ritz(v):
 def estimate_cfa(mesh, alpha):
     """Constant estimate from the smallest (stiffness, mass) eigenvalue.
 
-    Each step is a Rayleigh-Ritz step on the iterate x, the preconditioned
-    residual r / diag(K) and the previous direction p, which is dropped when
-    numerically dependent.  v[0], v[1], v[2] hold these rows, their K and
+    Each step is a Rayleigh-Ritz step on the iterate x, the line-preconditioned
+    residual and the previous direction p, which is dropped when numerically
+    dependent.  v[0], v[1], v[2] hold these rows, their K and
     their M products, which follow the rows' combinations, so a step costs
     one product with each matrix.  The iteration runs on alpha / s for the
     power of two s <= lambda_max(alpha) < 2 s, so any weight magnitude stays
@@ -70,17 +71,15 @@ def estimate_cfa(mesh, alpha):
     n = k.shape[0]
     if n == 0:
         raise SolverError("mesh has no interior vertices: refine it")
-    diag = k.diagonal()
-    lam = diag.min()
+    precondition = line_preconditioner(k, mesh, scaled)
     v = np.zeros((3, 3, n))
     v[0, 0] = 1.0
     v[1:, 0] = k @ v[0, 0], m @ v[0, 0]
     for it in range(_STEPS_PER_UNKNOWN * n):
-        # a diagonal entry or a Rayleigh quotient <= 0 proves K indefinite
-        if not lam > 0.0:
-            raise SolverError("stiffness is not positive definite")
         x, kx, mx = v[:, 0]
         lam = float(x @ kx) / float(x @ mx)
+        if not lam > 0.0:  # a Rayleigh quotient <= 0 proves K indefinite
+            raise SolverError("stiffness is not positive definite")
         r = kx - lam * mx
         if np.linalg.norm(r) <= TOL * lam * np.linalg.norm(mx):
             kx, mx = k @ x, m @ x  # the returned quotient comes from fresh products
@@ -89,7 +88,7 @@ def estimate_cfa(mesh, alpha):
                 raise SolverError(f"smallest eigenvalue {lam} * {s} overflows")
             res = float(np.linalg.norm(kx - lam * mx)) / float(np.linalg.norm(x))
             return EigenEstimate(lam * s, 1.0 / np.sqrt(lam * s), it, s * res)
-        np.divide(r, diag, out=v[0, 1])
+        v[0, 1] = precondition(r)
         v[1:, 1] = k @ v[0, 1], m @ v[0, 1]
         try:
             y = _ritz(v)

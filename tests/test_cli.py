@@ -264,7 +264,7 @@ class TestErrors:
             code, out, err = run(capsys, "oracle", "cfa", "--n", "8", "--alpha", alpha)
         assert code == 0 and err == ""
         payload = json.loads(out)
-        assert 0.0 < payload["c_estimate"] < payload["bound_thmA"]
+        assert 0.0 < payload["c_estimate"] < payload["bound"]
 
     @pytest.mark.parametrize(
         "size",
@@ -383,9 +383,9 @@ class TestOracle:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"lambda_min", "c_estimate", "bound_thmA", "margin"}
+        assert set(payload) == {"lambda_min", "c_estimate", "bound", "margin"}
         assert payload["margin"] > 0.0
-        assert payload["bound_thmA"] == pytest.approx(
+        assert payload["bound"] == pytest.approx(
             1.0 / (math.pi * math.sqrt(1.01)), rel=1e-9
         )
 

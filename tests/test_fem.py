@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fria.fem import (
     P1Solution,
@@ -11,6 +16,7 @@ from fria.fem import (
     assemble_stiffness,
     conjugate_gradients,
     energy_norm,
+    line_preconditioner,
     lumped_load,
     nodal_gradients,
     reduce_system,
@@ -22,6 +28,10 @@ from fria.weights import DiagonalWeight, DInterval, FullWeight
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
+ANISO_Y = DiagonalWeight((1e-4, 1.0))
+FULL = FullWeight(((2.0, 0.5), (0.5, 1.0)))
+# eigenvalues 1 and 1e-4 along the diagonals: equal diagonal entries
+ROTATED = FullWeight(((0.50005, 0.49995), (0.49995, 0.50005)))
 
 # n -> infinity energy of -div grad u = 1 on the unit square, computed on
 # the n=256 mesh (the independent Fourier series gives 0.18746801)
@@ -151,9 +161,10 @@ class TestConjugateGradients:
         m = mesh_cache("square", 8)
         system = reduce_system(assemble_stiffness(m, IDENT), m)
         b = np.ones(system.shape[0])
+        precondition = line_preconditioner(system, m, IDENT)
         monkeypatch.setattr(fem, "_ITERS_PER_UNKNOWN", 0)
         with pytest.raises(SolverError, match="did not reach rtol=1e-10 within 0 iterations"):
-            conjugate_gradients(system, b)
+            conjugate_gradients(system, b, precondition)
 
     def test_overflowing_inner_product_raises(self, mesh_cache):
         m = mesh_cache("square", 8)
@@ -162,14 +173,94 @@ class TestConjugateGradients:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="float range"):
-                conjugate_gradients(system, b)
+                conjugate_gradients(system, b, line_preconditioner(system, m, IDENT))
 
     def test_indefinite_detected(self):
         system = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(SolverError, match="curvature"):
-            conjugate_gradients(system, np.array([1.0, -1.0]))
+            conjugate_gradients(system, np.array([1.0, -1.0]), lambda r: r)
 
     def test_achieved_residual_matches_request(self, mesh_cache):
         m = mesh_cache("lshape", 1)
         s = solve_diffusion(m, ANISO, 1.0)
         assert s.residual <= 1.0000001e-10
+
+
+def _system(m, alpha):
+    return reduce_system(assemble_stiffness(m, alpha), m)
+
+
+class TestLinePreconditioner:
+    # weight -> the coordinate that is constant along its lines
+    CROSS = [(ANISO, 1), (ANISO_Y, 0), (FULL, 1), (ROTATED, 1)]
+
+    @pytest.mark.parametrize("domain, k", [("lshape", 0), ("square", 8)])
+    @pytest.mark.parametrize("alpha, cross", CROSS, ids=["x", "y", "full", "tie"])
+    def test_solves_the_line_blocks(self, mesh_cache, domain, k, alpha, cross):
+        m = mesh_cache(domain, k)
+        system = _system(m, alpha)
+        y = m.vertices[m.interior_vertices, cross]
+        blocks = np.where(y[:, None] == y[None, :], system.toarray(), 0.0)
+        r = np.random.default_rng(k).standard_normal(system.shape[0])
+        expected = np.linalg.solve(blocks, r)
+        z = line_preconditioner(system, m, alpha)(r)
+        assert np.linalg.norm(z - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("domain, k", [("lshape", 1), ("square", 9)])
+    @pytest.mark.parametrize("alpha", [ANISO, ANISO_Y, FULL], ids=["x", "y", "full"])
+    def test_symmetric(self, mesh_cache, domain, k, alpha):
+        m = mesh_cache(domain, k)
+        apply = line_preconditioner(_system(m, alpha), m, alpha)
+        r1, r2 = np.random.default_rng(3).standard_normal((2, len(m.interior_vertices)))
+        z1, z2 = apply(r1), apply(r2)
+        assert r2 @ z1 == pytest.approx(r1 @ z2, rel=1e-13)
+        assert r1 @ z1 > 0.0 and r2 @ z2 > 0.0
+
+    def test_repeated_applies_agree(self, mesh_cache):
+        m = mesh_cache("lshape", 1)
+        apply = line_preconditioner(_system(m, ANISO_Y), m, ANISO_Y)
+        r1, r2 = np.random.default_rng(4).standard_normal((2, len(m.interior_vertices)))
+        first = apply(r1)
+        apply(r2)
+        assert np.array_equal(apply(r1), first)
+
+    def test_nonpositive_pivot_raises_without_warning(self, mesh_cache):
+        m = mesh_cache("square", 8)
+        w = DiagonalWeight((1.0, -0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not positive definite"):
+                line_preconditioner(_system(m, w), m, w)
+
+    def test_anisotropic_iterations_do_not_depend_on_the_axis(self, mesh_cache):
+        counts = [
+            [solve_diffusion(mesh_cache("lshape", lvl), w, 1.0).iterations for lvl in range(5)]
+            for w in (ANISO, ANISO_Y)
+        ]
+        assert counts[0] == counts[1]
+        assert counts[0][-1] <= 25
+
+    @pytest.mark.parametrize(
+        "alpha", [ANISO, ANISO_Y, IDENT, FULL, ROTATED], ids=["x", "y", "ident", "full", "rotated"]
+    )
+    def test_matches_direct_solve(self, mesh_cache, alpha):
+        m = mesh_cache("lshape", 3)
+        s = solve_diffusion(m, alpha, 1.0)
+        free = m.interior_vertices
+        expected = spla.spsolve(_system(m, alpha).tocsc(), lumped_load(m, 1.0)[free])
+        error = np.linalg.norm(s.values[free] - expected)
+        assert error <= 1e-8 * np.linalg.norm(expected)
+
+    def test_solve_loads_no_scipy_linalg(self):
+        code = (
+            "import sys\n"
+            "import fria\n"
+            "fria.solve_diffusion(fria.build_lshape(0), fria.DiagonalWeight((1.0, 1e-4)), 1.0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n"
+        )
+        src = str(Path(fem.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout == "[]\n"

@@ -1,0 +1,61 @@
+"""Write BENCH_<short sha>.json at the root of the checkout that holds this file.
+
+    python3 tools/write_bench.py
+
+Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
+keeps the last line of each run, the JSON result.  One more run of
+``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
+of every level.  The file also records the Python, numpy and scipy versions,
+the CPUs the process may use, the commit and whether tracked files differ
+from it.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("table2_aniso", "manufactured_square", "oracle_cfa", "bounds_sweep")
+
+
+def _stdout(*argv):
+    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+
+
+def _result(workload, *flags):
+    lines = _stdout(sys.executable, "perfbench/run.py", "--workload", workload, *flags)
+    return json.loads(lines.splitlines()[-1])
+
+
+def main():
+    results = {w: _result(w, "--trace", "0") for w in WORKLOADS}
+    traced = _result("table2_aniso", "--trace", "1", "--seconds", "1")["metrics"]
+    prefix = "fem.cg_iters.L"
+    iterations = {k[len(prefix) - 1:]: v["value"] for k, v in traced.items() if k.startswith(prefix)}
+    sha = _stdout("git", "rev-parse", "HEAD").strip()
+    record = {
+        "commit": sha,
+        "dirty": bool(_stdout("git", "status", "--porcelain", "--untracked-files=no").strip()),
+        "env": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+        },
+        "results": results,
+        "table2_aniso_cg_iterations": iterations,
+        "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
+    }
+    path = ROOT / f"BENCH_{sha[:7]}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(path)
+
+
+if __name__ == "__main__":
+    main()
