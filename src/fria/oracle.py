@@ -55,9 +55,9 @@ def estimate_cfa(mesh, alpha):
 
     Each step is a Rayleigh-Ritz step on the iterate x, the line-preconditioned
     residual and the previous direction p, which is dropped when numerically
-    dependent.  v[0], v[1], v[2] hold these rows, their K and
-    their M products, which follow the rows' combinations, so a step costs
-    one product with each matrix.  The iteration runs on alpha / s for the
+    dependent.  v[0], v[1], v[2] hold these rows, their K and their M
+    products, which follow the rows' combinations, so a step costs one
+    product with each matrix and one preconditioner apply.  The iteration runs on alpha / s for the
     power of two s <= lambda_max(alpha) < 2 s, so any weight magnitude stays
     in float range; stiffness and every iterate scale exactly by s.
     """

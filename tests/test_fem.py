@@ -224,13 +224,10 @@ class TestLinePreconditioner:
         apply(r2)
         assert np.array_equal(apply(r1), first)
 
-    def test_nonpositive_pivot_raises_without_warning(self, mesh_cache):
-        m = mesh_cache("square", 8)
-        w = DiagonalWeight((1.0, -0.5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="not positive definite"):
-                line_preconditioner(_system(m, w), m, w)
+    def test_nonpositive_pivot_raises(self, mesh_cache):
+        # the pivots run 1, 0 on every x-line: raised before dividing by 0
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_diffusion(mesh_cache("square", 8), DiagonalWeight((1.0, -0.5)), 1.0)
 
     def test_anisotropic_iterations_do_not_depend_on_the_axis(self, mesh_cache):
         counts = [
