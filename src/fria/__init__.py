@@ -23,6 +23,7 @@ from .friedrichs import (
 from .majorant import MajorantBreakdown, evaluate_majorant, run_refinement_experiment
 from .maxwell import (
     MaxwellInput,
+    maxwell_bound,
     maxwell_coarse,
     maxwell_diagonal,
     maxwell_from_parts,

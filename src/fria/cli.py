@@ -19,7 +19,7 @@ from .fem import SolverError
 from .mesh import MAX_LEVEL, MeshError, build_lshape, build_unit_square
 from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 
-# --method name -> Friedrichs formula; also the argparse choices
+# --method name -> Friedrichs formula (the Maxwell arm too); also the argparse choices
 _FRIEDRICHS_FORMULAS = {
     "auto": friedrichs.best_bound,
     "mikhlin": lambda box, w: friedrichs.mikhlin_bound(box),
@@ -112,11 +112,7 @@ def _cmd_bounds_maxwell(args):
         inp = maxwell.MaxwellInput(box, eps, diam=args.diam, eps_max=args.eps_max)
     except WeightError as exc:
         raise UsageError(str(exc)) from None
-    if args.method == "coarse":
-        return _report_json(maxwell.maxwell_coarse(inp))
-    if isinstance(eps, DiagonalWeight):
-        return _report_json(maxwell.maxwell_diagonal(inp))
-    return _report_json(maxwell.maxwell_full(inp))
+    return _report_json(maxwell.maxwell_bound(inp, _FRIEDRICHS_FORMULAS[args.method]))
 
 
 def _cmd_table(args):

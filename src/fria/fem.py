@@ -105,7 +105,10 @@ def line_preconditioner(a, mesh, alpha):
         if i + 1 < width:
             low[i + 1] /= piv[i]
             piv[i + 1] -= low[i + 1] * low[i + 1] * piv[i]
-    inv_piv = 1.0 / piv
+    with np.errstate(over="ignore"):
+        inv_piv = 1.0 / piv
+    if not np.all(np.isfinite(inv_piv)):
+        raise SolverError("stiffness pivot too small to invert in floating point")
     grid = np.zeros((width, lines))  # padded slots stay 0 through every sweep
     flat = grid.reshape(-1)
     # (row, its neighbour on the sweep's near side, their factor entries)

@@ -9,7 +9,7 @@ verified here.
 import math
 from dataclasses import dataclass
 
-from .friedrichs import BoundReport, coarse_bound, sharp_bound
+from .friedrichs import BoundReport, coarse_bound, diagonal_bound, sharp_bound
 from .weights import (
     DiagonalWeight,
     DInterval,
@@ -79,18 +79,16 @@ def maxwell_from_parts(c_feps, eps_max, c_p):
     return max(c_feps, math.sqrt(eps_max) * c_p)
 
 
-def _maxwell_report(inp, friedrichs_arm):
-    value = maxwell_from_parts(
-        friedrichs_arm.value, inp.eps_max, poincare_convex_bound(inp.diam)
-    )
-    return BoundReport(
-        value, friedrichs_arm.method, inp.digest(), seminorm=friedrichs_arm.seminorm
-    )
+def maxwell_bound(inp, formula):
+    """Maxwell bound with any Friedrichs formula ``formula(box, w)`` as its first arm."""
+    arm = formula(inp.box, inp.eps)
+    value = maxwell_from_parts(arm.value, inp.eps_max, poincare_convex_bound(inp.diam))
+    return BoundReport(value, arm.method, inp.digest(), seminorm=arm.seminorm)
 
 
 def maxwell_coarse(inp):
     """Coarse bound using only the smallest permittivity eigenvalue."""
-    return _maxwell_report(inp, coarse_bound(inp.box, inp.eps))
+    return maxwell_bound(inp, coarse_bound)
 
 
 def maxwell_diagonal(inp):
@@ -101,14 +99,14 @@ def maxwell_diagonal(inp):
     """
     if not isinstance(inp.eps, DiagonalWeight):
         raise WeightError("maxwell_diagonal needs a diagonal permittivity")
-    return _maxwell_report(inp, sharp_bound(inp.box, inp.eps))
+    return maxwell_bound(inp, sharp_bound)
 
 
 def maxwell_full(inp):
     """Bound for full symmetric permittivity via the tilde reduction."""
     if not isinstance(inp.eps, FullWeight):
         raise WeightError("maxwell_full needs a full symmetric permittivity")
-    return _maxwell_report(inp, sharp_bound(inp.box, inp.eps))
+    return maxwell_bound(inp, sharp_bound)
 
 
 # Only the columns where the largest permittivity eigenvalue is 1; for
@@ -121,10 +119,8 @@ def table3_rows():
     """Coarse and per-direction Maxwell bounds on the unit cube for
     permittivity diag(1, 1, delta), delta <= 1."""
     box = DInterval((1.0, 1.0, 1.0))
-    coarse = []
-    diag = []
-    for delta in TABLE3_DELTAS:
-        inp = MaxwellInput(box, DiagonalWeight((1.0, 1.0, delta)))
-        coarse.append(maxwell_coarse(inp).value)
-        diag.append(maxwell_diagonal(inp).value)
-    return [("coarse", coarse), ("thmA", diag)]
+    inputs = [MaxwellInput(box, DiagonalWeight((1.0, 1.0, d))) for d in TABLE3_DELTAS]
+    return [
+        (name, [maxwell_bound(inp, formula).value for inp in inputs])
+        for name, formula in (("coarse", coarse_bound), ("thmA", diagonal_bound))
+    ]

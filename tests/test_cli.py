@@ -371,6 +371,16 @@ class TestExperiment:
         assert [r[:2] for r in rows] == [["0", "384"], ["1", "1536"]]
         assert all(math.isfinite(float(v)) and float(v) > 0.0 for r in rows for v in r[2:])
 
+    def test_subnormal_alpha_is_one_line_error(self, capsys):
+        # the stiffness pivots are subnormal, so their inverses overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run(
+                capsys, "experiment", "table2", "--levels", "0", "--alpha", "diag:1e-310,1e-310"
+            )
+        assert code == 2 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1
+
     def test_bad_levels(self, capsys):
         code, _, err = run(capsys, "experiment", "table2", "--levels", "a:b")
         assert code == 1

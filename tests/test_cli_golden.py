@@ -33,6 +33,7 @@ WEIGHTS_3D = (
 EPS = (
     None, "diag:1,1,1e-6", "diag:1,1,0", "diag:0,0,0", "full:3,1,1,300,1,3",
     "full:1,0,0,1,0,0", "full:4,1,1,4,1,4", "full:2,1,0,1,0,1", "full:1,2,0,1,0,1",
+    "full:1,2,0,5,0,1",  # definite, tilde (-1, 3, 1): only the coarse arm applies
 )
 ORACLE_ALPHAS = ("diag:1,1", "diag:1,0.01", "full:2,0.5,1", "diag:1,0", "full:1,0,0")
 

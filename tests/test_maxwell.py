@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fria.friedrichs import BoundUnavailable, diagonal_bound
+from fria.cli import main
+from fria.friedrichs import BoundUnavailable, best_bound, diagonal_bound
 from fria.maxwell import (
     MaxwellInput,
+    maxwell_bound,
     maxwell_coarse,
     maxwell_diagonal,
     maxwell_from_parts,
@@ -206,6 +209,51 @@ class TestProperties:
             a = maxwell_diagonal(inp).value
             b = maxwell_coarse(inp).value
             assert a == pytest.approx(b, rel=1e-13)
+
+
+class TestRouter:
+    def test_best_arm_gives_the_smaller_maxwell_bound(self):
+        # small diameters keep the Poincare arm from deciding every case
+        rng = np.random.default_rng(43)
+        outcomes = set()
+        for _ in range(500):
+            b = rng.normal(size=(3, 3))
+            a = b @ b.T + 10.0 ** rng.uniform(-1.0, 1.5) * np.eye(3)
+            eps = FullWeight(tuple(map(tuple, a)))
+            box = DInterval(tuple(10.0 ** rng.uniform(-1.0, 1.0, size=3)))
+            inp = MaxwellInput(box, eps, diam=box.diagonal * 10.0 ** rng.uniform(-3.0, 0.0))
+            coarse = maxwell_coarse(inp).value
+            try:
+                sharp = maxwell_full(inp).value
+            except BoundUnavailable:
+                sharp = None
+            rep = maxwell_bound(inp, best_bound)
+            if sharp is None:
+                outcomes.add("refused")
+                assert rep.value == coarse and rep.method == "coarse"
+                continue
+            outcomes.add("tie" if sharp == coarse else "sharp" if sharp < coarse else "coarse")
+            assert rep.value == min(coarse, sharp)
+        assert outcomes == {"refused", "tie", "sharp", "coarse"}
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["--lengths", "1,1,1", "--eps", "full:1,2,0,5,0,1"], 1.33102569666),
+            (["--lengths", "10,10,10", "--eps", "full:4,1,1,4,1,4", "--diam", "1"], 1.06103295395),
+        ],
+    )
+    def test_cli_auto_takes_the_best_arm(self, capsys, argv, value):
+        assert main(["bounds", "maxwell", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "coarse" and payload["value"] == value
+
+    def test_cli_without_any_arm_is_one_line_error(self, capsys):
+        assert main(["bounds", "maxwell", "--lengths", "1,1,1", "--eps", "diag:0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fria: no bound applies: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_table3_matches_reference_values():
