@@ -40,13 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_lengths(text):
-    try:
-        values = [float(v) for v in text.split(",") if v != ""]
+    try:  # a bad number and a bad box (WeightError) are both ValueErrors
+        return DInterval(tuple(float(v) for v in text.split(",") if v != ""))
     except ValueError as exc:
-        raise UsageError(f"--lengths: {exc}") from None
-    try:
-        return DInterval(tuple(values))
-    except WeightError as exc:
         raise UsageError(f"--lengths: {exc}") from None
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .weights import FullWeight, largest_eigenvalue
 
 # relative residual of the Galerkin solves
 RTOL = 1e-10
@@ -165,18 +166,33 @@ def conjugate_gradients(a, b, precondition):
     raise SolverError(f"CG did not reach rtol={RTOL} within {maxiter} iterations")
 
 
+def dirichlet_stiffness(mesh, alpha):
+    """``(s, k, precondition)``: the reduced stiffness ``k`` of alpha / s and its
+    line preconditioner, for the power of two s <= lambda_max(alpha) < 2 s.
+    Any weight magnitude thus stays in float range, and every product with
+    ``k`` and every apply is exactly 1/s of the unscaled one."""
+    top = largest_eigenvalue(alpha)
+    if not top > 0.0:
+        raise SolverError(f"weight has no positive eigenvalue (largest {top})")
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
+    k = reduce_system(assemble_stiffness(mesh, scaled), mesh)
+    return s, k, line_preconditioner(k, mesh, scaled)
+
+
 def solve_dirichlet(mesh, alpha, load):
     """Solve the reduced Galerkin system for an arbitrary load vector."""
-    stiffness = assemble_stiffness(mesh, alpha)
-    system = reduce_system(stiffness, mesh)
+    s, k, precondition = dirichlet_stiffness(mesh, alpha)
     free = mesh.interior_vertices
     b = load[free]
-    x, iters = conjugate_gradients(system, b, line_preconditioner(system, mesh, alpha))
+    x, iters = conjugate_gradients(k, b, precondition)  # s times the solution
     values = np.zeros(mesh.num_vertices)
-    values[free] = x
-    res = np.linalg.norm(b - system @ x)
+    with np.errstate(over="ignore"):
+        values[free] = x / s
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"solution overflows when scaled back from the weight scale {s}")
     scale = np.linalg.norm(b)
-    rel = res / scale if scale > 0.0 else 0.0
+    rel = np.linalg.norm(b - k @ x) / scale if scale > 0.0 else 0.0
     return P1Solution(mesh, values, nodal_gradients(mesh, values), iters, rel)
 
 

@@ -94,10 +94,29 @@ def _as_diagonal(w):
     return w.diagonal_part() if isinstance(w, FullWeight) and w.is_diagonal else w
 
 
-def _directional(box, d, method):
-    """1 / (pi sqrt(sum a_i/l_i^2)) over the positive entries a_i of ``d``."""
-    s = sum(a / (l * l) for a, l in zip(d.entries, box.lengths) if a > 0.0)
-    return _inverse_root(s, method)
+def _reduced_bound(box, w, method):
+    """1 / (pi sqrt(sum d_i/l_i^2)) over the positive entries d_i of the tilde
+    reduction d of ``w``, refused unless d suits ``method``: thmA and thmA2
+    need every d_i > 0, semidef no d_i < 0 and some d_i > 0.  A semidef
+    report is flagged as a seminorm when a direction was dropped or ``w``
+    was reduced."""
+    _check_dims(box, w)
+    t = tilde_reduction(w)
+    d = t.entries
+    if method != "semidef" and min(d) <= 0.0:
+        raise BoundUnavailable(
+            f"tilde not positive definite: reduction diag{d} has a nonpositive entry"
+            if method == "thmA2"
+            else "diagonal bound needs strictly positive entries; "
+            "route nonnegative weights through semidef_bound"
+        )
+    if min(d) < 0.0:
+        raise BoundUnavailable(f"semidef bound needs nonnegative entries, got diag{d}")
+    if max(d) <= 0.0:
+        raise BoundUnavailable("semidef bound needs at least one positive entry")
+    value = _inverse_root(sum(a / (l * l) for a, l in zip(d, box.lengths) if a > 0.0), method)
+    seminorm = method == "semidef" and (t is not w or 0.0 in d)
+    return BoundReport(value, method, _digest(box, w), seminorm=seminorm)
 
 
 def diagonal_bound(box, w):
@@ -108,27 +127,14 @@ def diagonal_bound(box, w):
     w = _as_diagonal(w)
     if not isinstance(w, DiagonalWeight):
         raise WeightError("diagonal bound needs a diagonal weight")
-    _check_dims(box, w)
-    if not w.uniformly_positive:
-        raise BoundUnavailable(
-            "diagonal bound needs strictly positive entries; "
-            "route nonnegative weights through semidef_bound"
-        )
-    return BoundReport(_directional(box, w, "thmA"), "thmA", _digest(box, w))
+    return _reduced_bound(box, w, "thmA")
 
 
 def full_bound(box, w):
     """Diagonal bound applied to the tilde reduction of a full matrix."""
     if not isinstance(w, FullWeight):
         raise WeightError("full bound needs a full symmetric weight")
-    _check_dims(box, w)
-    t = tilde_reduction(w)
-    if not t.uniformly_positive:
-        raise BoundUnavailable(
-            f"tilde not positive definite: reduction diag{t.entries} "
-            "has a nonpositive entry"
-        )
-    return BoundReport(_directional(box, t, "thmA2"), "thmA2", _digest(box, w))
+    return _reduced_bound(box, w, "thmA2")
 
 
 def semidef_bound(box, w):
@@ -140,33 +146,20 @@ def semidef_bound(box, w):
     The report is flagged when directions were dropped or the weight was
     reduced: the right-hand side is then only a seminorm.
     """
-    _check_dims(box, w)
-    d = tilde_reduction(w)
-    if any(a < 0.0 for a in d.entries):
-        raise BoundUnavailable(
-            f"semidef bound needs nonnegative entries, got diag{d.entries}"
-        )
-    if not any(a > 0.0 for a in d.entries):
-        raise BoundUnavailable("semidef bound needs at least one positive entry")
-    value = _directional(box, d, "semidef")
-    seminorm = d is not w or any(a == 0.0 for a in d.entries)
-    return BoundReport(value, "semidef", _digest(box, w), seminorm=seminorm)
+    return _reduced_bound(box, w, "semidef")
 
 
 def sharp_bound(box, w):
-    """The sharp formula the weight qualifies for.
+    """The sharp formula the weight's tilde reduction qualifies for.
 
-    Diagonal weights, exactly diagonal full ones included, take the
-    per-direction bound, or the semidef bound when an entry is zero; full
-    weights take the tilde-reduced bound when the reduction is positive,
-    else the semidef bound of the reduction.
+    A positive reduction takes the per-direction bound (thmA for diagonal
+    weights, exactly diagonal full ones included; thmA2 for full ones), any
+    other the semidef bound of the reduction.
     """
     w = _as_diagonal(w)
-    if isinstance(w, DiagonalWeight):
-        return semidef_bound(box, w) if 0.0 in w.entries else diagonal_bound(box, w)
-    if tilde_reduction(w).uniformly_positive:
-        return full_bound(box, w)
-    return semidef_bound(box, w)
+    if min(tilde_reduction(w).entries) > 0.0:
+        return _reduced_bound(box, w, "thmA" if isinstance(w, DiagonalWeight) else "thmA2")
+    return _reduced_bound(box, w, "semidef")
 
 
 def best_bound(box, w):
@@ -207,10 +200,8 @@ def table1_rows():
     """Coarse and diagonal bound values on the unit square for
     anisotropy diag(1, delta) over the standard delta grid."""
     box = DInterval((1.0, 1.0))
-    coarse = []
-    diag = []
-    for delta in TABLE1_DELTAS:
-        w = DiagonalWeight((1.0, delta))
-        coarse.append(coarse_bound(box, w).value)
-        diag.append(diagonal_bound(box, w).value)
-    return [("coarse", coarse), ("thmA", diag)]
+    grid = [DiagonalWeight((1.0, delta)) for delta in TABLE1_DELTAS]
+    return [
+        (name, [formula(box, w).value for w in grid])
+        for name, formula in (("coarse", coarse_bound), ("thmA", diagonal_bound))
+    ]

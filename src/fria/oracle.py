@@ -18,14 +18,12 @@ from .fem import (
     P1Solution,
     SolverError,
     assemble_mass,
-    assemble_stiffness,
+    dirichlet_stiffness,
     energy_norm,
-    line_preconditioner,
     nodal_gradients,
     reduce_system,
 )
 from .mesh import prolongation
-from .weights import FullWeight, largest_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -57,21 +55,16 @@ def estimate_cfa(mesh, alpha):
     residual and the previous direction p, which is dropped when numerically
     dependent.  v[0], v[1], v[2] hold these rows, their K and their M
     products, which follow the rows' combinations, so a step costs one
-    product with each matrix and one preconditioner apply.  The iteration runs on alpha / s for the
-    power of two s <= lambda_max(alpha) < 2 s, so any weight magnitude stays
-    in float range; stiffness and every iterate scale exactly by s.
+    product with each matrix and one preconditioner apply.  The iteration
+    runs on the stiffness of alpha / s from ``dirichlet_stiffness``, so any
+    weight magnitude stays in float range and the eigenvalue is exactly s
+    times the scaled one.
     """
-    top = largest_eigenvalue(alpha)
-    if not top > 0.0:
-        raise SolverError(f"weight has no positive eigenvalue (largest {top})")
-    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
-    k = reduce_system(assemble_stiffness(mesh, scaled), mesh)
+    s, k, precondition = dirichlet_stiffness(mesh, alpha)
     m = reduce_system(assemble_mass(mesh), mesh)
     n = k.shape[0]
     if n == 0:
         raise SolverError("mesh has no interior vertices: refine it")
-    precondition = line_preconditioner(k, mesh, scaled)
     v = np.zeros((3, 3, n))
     v[0, 0] = 1.0
     v[1:, 0] = k @ v[0, 0], m @ v[0, 0]

@@ -371,6 +371,16 @@ class TestExperiment:
         assert [r[:2] for r in rows] == [["0", "384"], ["1", "1536"]]
         assert all(math.isfinite(float(v)) and float(v) > 0.0 for r in rows for v in r[2:])
 
+    def test_huge_alpha_is_solved(self, capsys):
+        # g alpha g^T overflows unless the weight is scaled into float range first
+        code, out, err = run(
+            capsys, "experiment", "table2", "--levels", "0", "--alpha", "diag:1e306,1e306"
+        )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["0", "384"]]
+        assert all(math.isfinite(float(v)) and float(v) > 0.0 for r in rows for v in r[2:])
+
     def test_subnormal_alpha_is_one_line_error(self, capsys):
         # the stiffness pivots are subnormal, so their inverses overflow
         with warnings.catch_warnings():

@@ -89,6 +89,18 @@ class TestSolve:
         b = solve_diffusion(m, ANISO, lambda x, y: np.full_like(x, 1.0))
         assert np.array_equal(a.values, b.values)
 
+    def test_power_of_two_weight_scaling_is_exact(self, mesh_cache):
+        # 2^1020 FULL overflows g alpha g^T unless the weight is scaled into
+        # float range first; the source 2^20 keeps the scaled-back values normal
+        m = mesh_cache("lshape", 0)
+        k = 1020
+        big = FullWeight(tuple(tuple(2.0**k * a for a in row) for row in FULL.matrix))
+        one = solve_diffusion(m, FULL, 2.0**20)
+        huge = solve_diffusion(m, big, 2.0**20)
+        assert huge.iterations == one.iterations
+        assert np.array_equal(huge.values, one.values / 2.0**k)
+        assert np.all(np.abs(huge.values[huge.values != 0.0]) >= np.finfo(float).tiny)
+
     def test_continuous_dependence_on_load(self, mesh_cache):
         m = mesh_cache("lshape", 0)
         s = solve_diffusion(m, ANISO, 1.0)

@@ -2,7 +2,9 @@
 
 Entries are zeros, subnormals or +-10^u with u uniform in (-300, 300).
 Every ``bounds`` call through the CLI must end with exit code 0, 1 or 2,
-print finite JSON on success and one ``fria:`` line otherwise.
+print finite JSON on success and one ``fria:`` line otherwise; so must an
+``experiment table2`` run on L0 whose diagonal or rotated weight has
+eigenvalues 10^u, u uniform in (-300, 300), and a diagonal one must solve.
 
 The spectral oracle's constant estimate must stay below the best bound of
 the enclosing unit box for diagonal and rotated weights with eigenvalues
@@ -121,3 +123,26 @@ def test_oracle_below_best_bound(w):
         reject()  # eigenvalues 1e16 apart and more round to a singular matrix
     for mesh in oracle_meshes():
         assert estimate_cfa(mesh, w).c_estimate <= bound
+
+
+def alpha_text(w):
+    (a, b), (_, c) = w.matrix
+    return text((a, b, c))
+
+
+@PROPS
+@given(
+    st.one_of(
+        st.builds(lambda a, b: f"diag:{a!r},{b!r}", EIGENVALUE, EIGENVALUE),
+        st.builds(
+            lambda a, b, angle: alpha_text(rotated(a, b, angle)),
+            EIGENVALUE, EIGENVALUE, st.floats(0.0, math.pi),
+        ),
+    )
+)
+def test_experiment_cli_outcome(alpha):
+    argv = ["experiment", "table2", "--levels", "0", "--alpha", alpha, "--out", "json"]
+    code, out, err = run_cli(argv)
+    check_outcome(code, out, err)
+    # a positive diagonal weight is solved at any magnitude
+    assert code == 0 or not alpha.startswith("diag:")
