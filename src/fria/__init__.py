@@ -6,6 +6,7 @@ Raviart-Thomas flux averaging feeding a functional error majorant, and
 brute-force spectral / reference-error oracles that verify every bound.
 """
 
+from . import manufactured
 from .fem import P1Solution, SolverError, energy_norm, solve_diffusion
 from .flux import RT0Field, flux_defect_norms, rt_average, rt_divergence
 from .friedrichs import (

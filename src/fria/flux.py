@@ -10,10 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import MIDPOINT3, gauss_collapsed, physical_points
-
-_QUAD_ORDER = 12  # collapsed Gauss rule of a callable source, 144 points per triangle
-
 
 @dataclass
 class RT0Field:
@@ -46,46 +42,28 @@ def rt_divergence(field):
     return signed.sum(axis=1) / mesh.areas
 
 
-def rt_values(field, bary):
-    """Evaluate the field at barycentric points of every triangle.
-
-    Returns an array of shape (num_triangles, num_points, 2).  Inside a
-    triangle the field is sum_j dof_j s_j (x - p_j) / (2 |T|) with p_j
-    the vertex opposite edge j and s_j the outward sign.
-    """
-    mesh = field.mesh
-    corners = mesh.vertices[mesh.triangles]
-    pts = physical_points(mesh, bary)
-    coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs
-    coeff = coeff / (2.0 * mesh.areas[:, None])
-    diff = pts[:, :, None, :] - corners[:, None, :, :]
-    return np.einsum("tj,tkjx->tkx", coeff, diff)
-
-
 def residual_norm(field, f):
     """L2 norm of f + div y.
 
-    A constant f leaves the integrand constant per cell, which the cell
-    areas integrate exactly; a callable f(x, y) is integrated by the
-    collapsed Gauss rule of order ``_QUAD_ORDER``.
+    ``f`` is a constant or a pair ``(mean, osc)`` of per-triangle arrays:
+    the cell mean of f and its oscillation, the integral of (f - mean)^2.
+    As div y is constant per cell, the squared norm is the sum over cells
+    of |T| (mean + div y)^2 + osc; a constant is the pair (f, 0).
     """
     mesh = field.mesh
-    div = rt_divergence(field)
-    if not callable(f):
-        r = float(f) + div
-        return float(np.sqrt(np.sum(mesh.areas * r * r)))
-    bary, wq = gauss_collapsed(_QUAD_ORDER)
-    pts = physical_points(mesh, bary)
-    vals = f(pts[:, :, 0], pts[:, :, 1]) + div[:, None]
-    return float(np.sqrt(np.einsum("tk,k,t->", vals * vals, wq, mesh.areas)))
+    mean, osc = f if isinstance(f, tuple) else (float(f), 0.0)
+    r = mean + rt_divergence(field)
+    return float(np.sqrt(np.sum(mesh.areas * r * r + osc)))
 
 
 def defect_norm(field, solution, alpha):
     """Weighted norm of the flux defect, ||y - alpha grad u|| in the
-    inverse-alpha inner product.
+    inverse-alpha inner product, in closed form per triangle.
 
-    The integrand is quadratic (affine RT0 minus a constant), so the
-    edge-midpoint rule integrates it exactly.
+    On a triangle the RT0 field is y_c + (div y / 2)(x - x_c) with y_c its
+    centroid value, and the linear part has zero mean, so the integral is
+    |T| d^T alpha^-1 d + (div y)^2 / 4 * |T| / 12 * sum_j e_j^T alpha^-1 e_j
+    with d = y_c - alpha grad u and e_j = p_j - x_c for the corners p_j.
     """
     mesh = field.mesh
     a = np.asarray(alpha.matrix, dtype=float)
@@ -93,12 +71,15 @@ def defect_norm(field, solution, alpha):
         ainv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix is singular") from None
-    bary, wq = MIDPOINT3
-    broken = solution.gradients @ a.T
-    diff = rt_values(field, bary) - broken[:, None, :]
-    dens = np.einsum("tkx,xy,tky->tk", diff, ainv, diff)
-    total = np.einsum("tk,k,t->", dens, wq, mesh.areas)
-    return float(np.sqrt(total))
+    corners = mesh.vertices[mesh.triangles]
+    e = corners - corners.mean(axis=1, keepdims=True)
+    # coefficient of (x - p_j) for the vertex p_j opposite edge j
+    coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
+    d = -np.einsum("tj,tjx->tx", coeff, e) - solution.gradients @ a.T
+    half_div = coeff.sum(axis=1)
+    spread = np.einsum("tjx,xy,tjy->t", e, ainv, e) / 12.0
+    dens = np.einsum("tx,xy,ty->t", d, ainv, d) + half_div * half_div * spread
+    return float(np.sqrt(np.sum(mesh.areas * dens)))
 
 
 def flux_defect_norms(field, solution, alpha, f):

@@ -41,7 +41,8 @@ def _total(c_tilde, residual, defect):
 
 def evaluate_majorant(c_tilde, solution, field, alpha, f):
     """Evaluate the error majorant for a given constant bound c~ and a
-    source f that is a constant or a callable f(x, y)."""
+    source f that is a constant or its per-cell moments (mean, osc), as
+    ``flux.residual_norm`` takes it."""
     c_tilde = _positive(c_tilde)
     residual, defect = flux_defect_norms(field, solution, alpha, f)
     return MajorantBreakdown(c_tilde, residual, defect, _total(c_tilde, residual, defect))

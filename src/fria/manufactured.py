@@ -2,9 +2,10 @@
 
 The exact solution is u = sin(pi x) sin(pi y) with unit diffusion and
 source f = 2 pi^2 u.  The source enters the discrete load by nodal
-interpolation with the standard lumped weights.  The energy error against
-the exact solution evaluates in closed form: the gradient of u integrates
-over any triangle to a sum of elementary trigonometric edge terms.
+interpolation with the standard lumped weights, and the majorant by its
+cell moments.  Those moments and the energy error against the exact
+solution evaluate in closed form: by the divergence theorem each
+integral over a triangle is a sum of elementary trigonometric edge terms.
 """
 
 import math
@@ -36,23 +37,52 @@ def solve(mesh):
     return solve_diffusion(mesh, IDENTITY2, source)
 
 
+def _edge_means(mesh, waves, trig):
+    """Mean of trig(pi k.x) along every edge, for each column k of waves.
+
+    k.x is affine along an edge, so the mean of cos or sin of it is the
+    value at the midpoint times sinc of half the increment.
+    """
+    ends = mesh.vertices[mesh.edges]
+    mid = (0.5 * (ends[:, 0] + ends[:, 1])) @ waves
+    step = (ends[:, 1] - ends[:, 0]) @ waves
+    return trig(np.pi * mid) * np.sinc(0.5 * step)
+
+
 def grad_u_integrals(mesh):
     """Closed-form int_T grad u dA for every triangle of a triangulation of
     the unit square.
 
     By the divergence theorem int_T grad u = sum over the edges e of T of
-    the outward normal times int_e u ds.  With u = [cos pi(x-y) -
-    cos pi(x+y)] / 2 both x - y and x + y are affine along an edge, so the
-    edge mean of each cosine is its midpoint value times sinc(increment/2).
+    the outward normal times int_e u ds, with u = [cos pi(x-y) -
+    cos pi(x+y)] / 2.
     """
-    ends = mesh.vertices[mesh.edges]
-    rotate = np.array([[1.0, 1.0], [-1.0, 1.0]])  # (x, y) -> (x - y, x + y)
-    mid = (0.5 * (ends[:, 0] + ends[:, 1])) @ rotate
-    step = (ends[:, 1] - ends[:, 0]) @ rotate
-    cosines = np.cos(np.pi * mid) * np.sinc(0.5 * step)
+    cosines = _edge_means(mesh, np.array([[1.0, 1.0], [-1.0, 1.0]]), np.cos)
     along = 0.5 * mesh.edge_lengths * (cosines[:, 0] - cosines[:, 1])
     flux = along[:, None] * mesh.edge_normals
     return np.einsum("te,tex->tx", mesh.tri_edge_signs, flux[mesh.tri_edges])
+
+
+def source_moments(mesh):
+    """Closed-form cell mean of f and oscillation int_T (f - mean)^2 for
+    every triangle of a triangulation of the unit square.
+
+    f = pi^2 [cos pi(x-y) - cos pi(x+y)] and f^2 = pi^4 [1 + cos 2pi(x-y)/2
+    + cos 2pi(x+y)/2 - cos 2pi x - cos 2pi y].  By the divergence theorem
+    int_T cos(pi k.x) = sum_e (k.n_e) int_e sin(pi k.x) ds / (pi |k|^2)
+    over the outward normals.  Rounding may leave a tiny negative
+    oscillation; it is clamped to 0, which can only raise the majorant.
+    """
+    waves = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 0.0], [-1.0, 1.0, -2.0, 2.0, 0.0, 2.0]])
+    along = mesh.edge_lengths[:, None] * _edge_means(mesh, waves, np.sin)
+    per_edge = along * (mesh.edge_normals @ waves) / (np.pi * np.sum(waves * waves, axis=0))
+    cosines = np.einsum("te,tek->tk", mesh.tri_edge_signs, per_edge[mesh.tri_edges])
+    integral = np.pi**2 * (cosines[:, 0] - cosines[:, 1])
+    square = np.pi**4 * (
+        mesh.areas + 0.5 * (cosines[:, 2] + cosines[:, 3]) - cosines[:, 4] - cosines[:, 5]
+    )
+    mean = integral / mesh.areas
+    return mean, np.maximum(square - integral * mean, 0.0)
 
 
 def exact_energy_error(solution):
@@ -65,6 +95,6 @@ def exact_energy_error(solution):
 
 
 def majorant_total(c_tilde, solution, field):
-    """Error majorant of the smooth problem (the source enters the
-    residual by high-order quadrature)."""
-    return evaluate_majorant(c_tilde, solution, field, IDENTITY2, source)
+    """Error majorant of the smooth problem; the source enters the residual
+    through its closed-form cell moments."""
+    return evaluate_majorant(c_tilde, solution, field, IDENTITY2, source_moments(solution.mesh))

@@ -11,17 +11,17 @@ from fria.flux import (
     residual_norm,
     rt_average,
     rt_divergence,
-    rt_values,
 )
 from fria.mesh import _finalize, build_unit_square
-from fria.quadrature import physical_points
 from fria.weights import DiagonalWeight, FullWeight
+from reference_quadrature import MIDPOINT3, defect_by_rule, rolled_square
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
+FULL = FullWeight(((2.0, 0.5), (0.5, 1.0)))
 
 # 7-point degree-5 rule on the reference triangle (barycentric points,
-# weights summing to 1), an independent cross-check of the production rule
+# weights summing to 1), an independent cross-check of the closed form
 _A1, _B1 = 0.059715871789770, 0.470142064105115
 _A2, _B2 = 0.797426985353087, 0.101286507323456
 DEGREE5 = (
@@ -147,25 +147,23 @@ class TestNorms:
             energy_norm(s, IDENT), rel=1e-13
         )
 
-    def test_midpoint_rule_matches_degree5_oracle(self, mesh_cache):
-        m = mesh_cache("square", 4)
-        alpha = FullWeight(((2.0, 0.5), (0.5, 1.0)))
+    @pytest.mark.parametrize("rule", [DEGREE5, MIDPOINT3], ids=["degree5", "midpoint"])
+    @pytest.mark.parametrize("alpha", [FULL, ANISO], ids=["full", "aniso"])
+    @pytest.mark.parametrize(
+        "domain, k",
+        [("square", n) for n in (4, 5, 8, 32, 64, 128)]
+        + [("lshape", level) for level in range(5)]
+        + [("rolled", 5)],
+    )
+    def test_defect_matches_quadrature(self, mesh_cache, domain, k, alpha, rule):
+        # both rules integrate the quadratic integrand exactly; the midpoint
+        # rule is the one the closed form replaced
+        m = rolled_square(k, 1) if domain == "rolled" else mesh_cache(domain, k)
         rng = np.random.default_rng(21)
-        s = interpolant(m, lambda x, y: np.sin(x) + 0.0 * y)
-        s.values[:] = rng.normal(size=m.num_vertices)
-        s.gradients[:] = nodal_gradients(m, s.values)
-        field = RT0Field(m, rng.normal(size=m.num_edges))
-
-        produced = defect_norm(field, s, alpha)
-
-        bary, wq = DEGREE5
-        a = np.asarray(alpha.matrix)
-        ainv = np.linalg.inv(a)
-        broken = s.gradients @ a.T
-        diff = rt_values(field, bary) - broken[:, None, :]
-        dens = np.einsum("tkx,xy,tky->tk", diff, ainv, diff)
-        oracle = math.sqrt(np.einsum("tk,k,t->", dens, wq, m.areas))
-        assert produced == pytest.approx(oracle, rel=1e-12)
+        s = interpolant(m, lambda x, y: rng.normal(size=x.shape))
+        field = rt_average(s, alpha)
+        oracle = defect_by_rule(field, s, alpha, rule)
+        assert defect_norm(field, s, alpha) == pytest.approx(oracle, rel=1e-12)
 
     def test_residual_against_quadrature_oracle(self, mesh_cache):
         m = mesh_cache("lshape", 0)
@@ -179,12 +177,12 @@ class TestNorms:
         assert produced == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("domain, k", [("lshape", 0), ("square", 8)])
-    def test_residual_of_constant_callable_matches_constant(self, mesh_cache, domain, k):
+    def test_residual_of_constant_moments_is_the_constant(self, mesh_cache, domain, k):
         m = mesh_cache(domain, k)
         s = solve_diffusion(m, ANISO, 1.0)
         field = rt_average(s, ANISO)
-        produced = residual_norm(field, lambda x, y: np.full_like(x, 1.0))
-        assert produced == pytest.approx(residual_norm(field, 1.0), rel=1e-13)
+        moments = (np.full(m.num_triangles, 1.0), np.zeros(m.num_triangles))
+        assert residual_norm(field, moments) == residual_norm(field, 1.0)
 
     def test_singular_weight_rejected(self, mesh_cache):
         m = mesh_cache("square", 4)

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked on the syntax tree alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,17 @@ def test_every_constant_is_read():
     assert len(defined) >= 10, defined
     unread = [f"{name}:{const}" for name, const in defined if const not in read]
     assert unread == [], f"constants no module reads: {unread}"
+
+
+def test_every_module_is_imported():
+    # a module that neither another module nor an entry point imports is left over
+    scripts = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    imported = set(re.findall(r'"fria\.(\w+):', scripts))
+    for path in PACKAGE.glob("*.py"):
+        for _, name, origin in _imports(ast.parse(path.read_text())):
+            if origin is not None and origin.level == 1:
+                imported.add(origin.module or name)
+            elif origin is not None and (origin.module or "").startswith("fria."):
+                imported.add(origin.module.split(".")[1])
+    leftover = sorted(p.name for p in MODULES if p.stem not in imported)
+    assert leftover == [], f"modules nothing imports: {leftover}"

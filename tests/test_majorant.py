@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from fria import flux, majorant, manufactured
+from fria import majorant, manufactured
 from fria.fem import P1Solution, nodal_gradients, solve_diffusion
 from fria.flux import RT0Field, rt_average
 from fria.majorant import evaluate_majorant, run_refinement_experiment
 from fria.mesh import _finalize, build_lshape, build_unit_square, validate
-from fria.quadrature import gauss_collapsed, physical_points
 from fria.weights import DiagonalWeight
+from reference_quadrature import (
+    gauss_collapsed,
+    integrate,
+    physical_points,
+    residual_by_rule,
+    rolled_square,
+)
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
@@ -153,16 +159,36 @@ class TestManufactured:
         bd = manufactured.majorant_total(c, s, field)
         assert bd.total >= manufactured.exact_energy_error(s)
 
-    def test_residual_quadrature_converged(self, mesh_cache, monkeypatch):
-        # order 12 and order 16 collapsed rules agree to machine precision
-        m = mesh_cache("square", 8)
+    @pytest.mark.parametrize("order", [12, 16])
+    @pytest.mark.parametrize("n", [5, 8, 32, 64, 128, "rolled"])
+    def test_source_moments_match_quadrature(self, mesh_cache, n, order):
+        m = rolled_square(5, 1) if n == "rolled" else mesh_cache("square", n)
+        mean, osc = manufactured.source_moments(m)
+        rule = gauss_collapsed(order)
+        pts = physical_points(m, rule[0])
+        vals = manufactured.source(pts[:, :, 0], pts[:, :, 1])
+        integral = integrate(m, vals, rule[1])
+        assert np.abs(mean * m.areas - integral).max() <= 1e-12 * np.abs(integral).max()
+        spread = integrate(m, (vals - (integral / m.areas)[:, None]) ** 2, rule[1])
+        assert osc.sum() == pytest.approx(spread.sum(), rel=1e-10)
+        assert np.all(osc >= 0.0)
         s = manufactured.solve(m)
         field = rt_average(s, IDENT)
-        assert flux._QUAD_ORDER == 12
-        a = manufactured.majorant_total(0.5, s, field)
-        monkeypatch.setattr(flux, "_QUAD_ORDER", 16)
-        b = manufactured.majorant_total(0.5, s, field)
-        assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-13)
+        produced = manufactured.majorant_total(0.5, s, field).residual_norm
+        oracle = residual_by_rule(field, manufactured.source, rule)
+        assert produced == pytest.approx(oracle, rel=1e-12)
+
+    def test_source_oscillation_clamped_on_tiny_triangles(self):
+        # at h = 1e-7 the rounding of int f^2 - |T| mean^2 exceeds the true
+        # oscillation and is negative on most triangles without the clamp
+        corners = np.random.default_rng(5).uniform(0.1, 0.9, size=(200, 1, 2))
+        pts = (corners + np.array([[0.0, 0.0], [1e-7, 0.0], [0.0, 1e-7]])).reshape(-1, 2)
+        m = _finalize(pts, np.arange(len(pts)).reshape(-1, 3), "square", 1, 1)
+        mean, osc = manufactured.source_moments(m)
+        assert np.all(osc >= 0.0)
+        centroid = pts.reshape(-1, 3, 2).mean(axis=1)
+        f = manufactured.source(centroid[:, 0], centroid[:, 1])
+        assert np.abs(mean - f).max() <= 1e-6
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_majorant_total_rejects_bad_constant(self, mesh_cache, bad):
