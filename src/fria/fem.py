@@ -41,9 +41,14 @@ def nodal_gradients(mesh, values):
 
 
 def _scatter(mesh, local):
-    """Sum the (nt, 3, 3) local matrices into the global CSR matrix."""
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    """Sum the (nt, 3, 3) local matrices into the global CSR matrix.
+
+    The triplet indices are int32, as scipy stores the CSR indices of fewer
+    than 2**31 vertices (MAX_LEVEL stays far below); int64 triplets would
+    only be copied down."""
+    triangles = mesh.triangles.astype(np.int32)
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
     nv = mesh.num_vertices
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
@@ -56,7 +61,7 @@ def assemble_stiffness(mesh, alpha):
     # local matrices |T| G alpha G^T, symmetrized to make the triplet
     # store exactly symmetric despite rounding
     g = mesh.grads
-    local = np.einsum("tia,ab,tjb->tij", g, a, g) * mesh.areas[:, None, None]
+    local = np.einsum("tia,ab,tjb->tij", g, a, g, optimize=True) * mesh.areas[:, None, None]
     local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
     return _scatter(mesh, local)
 
@@ -207,4 +212,4 @@ def energy_norm(solution, alpha):
     """Weighted energy norm sqrt(sum_T |T| g^T alpha g), exact for P1."""
     a = np.asarray(alpha.matrix, dtype=float)
     g = solution.gradients
-    return float(np.sqrt(np.einsum("t,ta,ab,tb->", solution.mesh.areas, g, a, g)))
+    return float(np.sqrt(np.einsum("t,ta,ab,tb->", solution.mesh.areas, g, a, g, optimize=True)))

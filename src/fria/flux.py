@@ -71,14 +71,19 @@ def defect_norm(field, solution, alpha):
         ainv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix is singular") from None
-    corners = mesh.vertices[mesh.triangles]
-    e = corners - corners.mean(axis=1, keepdims=True)
+    x, y = (mesh.vertices[:, k][mesh.triangles] for k in (0, 1))
+    # e_j by components, the centroid summed in mean(axis=1)'s order
+    ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in (x, y))
     # coefficient of (x - p_j) for the vertex p_j opposite edge j
     coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
-    d = -np.einsum("tj,tjx->tx", coeff, e) - solution.gradients @ a.T
+    flux = solution.gradients @ a.T
+    dx, dy = (-np.einsum("tj,tj->t", coeff, e) - q for e, q in zip((ex, ey), flux.T))
     half_div = coeff.sum(axis=1)
-    spread = np.einsum("tjx,xy,tjy->t", e, ainv, e) / 12.0
-    dens = np.einsum("tx,xy,ty->t", d, ainv, d) + half_div * half_div * spread
+    # the quadratic forms of alpha^-1, written out
+    (ixx, ixy), (iyx, iyy) = ainv
+    sxx, sxy, syy = (np.einsum("tj,tj->t", u, v) for u, v in ((ex, ex), (ex, ey), (ey, ey)))
+    spread = (ixx * sxx + (ixy + iyx) * sxy + iyy * syy) / 12.0
+    dens = ixx * dx * dx + (ixy + iyx) * dx * dy + iyy * dy * dy + half_div * half_div * spread
     return float(np.sqrt(np.sum(mesh.areas * dens)))
 
 

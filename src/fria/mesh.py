@@ -83,22 +83,8 @@ class TriMesh:
         return np.flatnonzero(self.edge_tris[:, 1] < 0)
 
 
-def _twice_signed_areas(corners):
-    d1 = corners[:, 1] - corners[:, 0]
-    d2 = corners[:, 2] - corners[:, 0]
-    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
-def _triangle_geometry(corners):
-    twice_area = _twice_signed_areas(corners)
-    # grad of basis j: rotated opposite edge over twice the signed area
-    a = corners[:, [1, 2, 0]]
-    b = corners[:, [2, 0, 1]]
-    grads = np.empty(corners.shape)
-    grads[..., 0] = a[..., 1] - b[..., 1]
-    grads[..., 1] = b[..., 0] - a[..., 0]
-    grads /= twice_area[:, None, None]
-    return 0.5 * twice_area, grads
+def _twice_signed_areas(x, y):
+    return (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
 
 
 def _edge_codes(triangles, nv):
@@ -110,6 +96,9 @@ def _edge_codes(triangles, nv):
 
 
 def _finalize(vertices, triangles, domain, n, level):
+    """Edges, adjacency and geometry of any counterclockwise triangle list.
+    The geometry is computed from the corner x and y coordinates as two (t, 3)
+    arrays; (t, 3, 2) corner rows and their strided components cost twice the time."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     nv = len(vertices)
@@ -128,18 +117,29 @@ def _finalize(vertices, triangles, domain, n, level):
     np.maximum.at(last, inverse, np.arange(3 * nt))
     edge_tris = np.column_stack((first // 3, np.where(counts == 2, last // 3, -1)))
     inverse = inverse.reshape(nt, 3)
+    del keys, codes, first, last
 
-    corners = vertices[triangles]
-    areas, grads = _triangle_geometry(corners)
+    vx, vy = vertices[:, 0], vertices[:, 1]
+    x, y = vx[triangles], vy[triangles]
+    twice_area = _twice_signed_areas(x, y)
+    # grad of basis j: the edge from corner j+1 to corner j+2 turned a
+    # quarter counterclockwise, over twice the signed area
+    grads = np.empty((nt, 3, 2))
+    for j in range(3):
+        np.subtract(y[:, (j + 1) % 3], y[:, (j + 2) % 3], out=grads[:, j, 0])
+        np.subtract(x[:, (j + 2) % 3], x[:, (j + 1) % 3], out=grads[:, j, 1])
+    grads /= twice_area[:, None, None]
+    # centroid of each edge's lower triangle, summed in mean(axis=1)'s order
+    lower = edge_tris[:, 0]
+    cx, cy = ((x[:, 0] + x[:, 1] + x[:, 2]) / 3)[lower], ((y[:, 0] + y[:, 1] + y[:, 2]) / 3)[lower]
+    del x, y
 
-    a = vertices[edges[:, 0]]
-    b = vertices[edges[:, 1]]
-    tangents = b - a
-    edge_lengths = np.hypot(tangents[:, 0], tangents[:, 1])
-    normals = np.column_stack((tangents[:, 1], -tangents[:, 0])) / edge_lengths[:, None]
-    centroids = corners.mean(axis=1)
-    mid = 0.5 * (a + b)
-    outward = np.einsum("ij,ij->i", mid - centroids[edge_tris[:, 0]], normals)
+    ax, ay, bx, by = vx[edges[:, 0]], vy[edges[:, 0]], vx[edges[:, 1]], vy[edges[:, 1]]
+    tx, ty = bx - ax, by - ay
+    edge_lengths = np.hypot(tx, ty)
+    nx, ny = ty / edge_lengths, -tx / edge_lengths
+    outward = (0.5 * (ax + bx) - cx) * nx + (0.5 * (ay + by) - cy) * ny
+    normals = np.stack((nx, ny), axis=1)
     normals[outward < 0.0] *= -1.0
 
     signs = np.where(edge_tris[inverse, 0] == np.arange(nt)[:, None], 1.0, -1.0)
@@ -156,7 +156,7 @@ def _finalize(vertices, triangles, domain, n, level):
         domain=domain,
         n=n,
         level=level,
-        areas=areas,
+        areas=0.5 * twice_area,
         grads=grads,
         edge_lengths=edge_lengths,
         edge_normals=normals,
@@ -240,7 +240,7 @@ def prolongation(coarse, fine):
 
 def validate(m):
     """Check all mesh invariants; returns a list of violation messages."""
-    signed = 0.5 * _twice_signed_areas(m.vertices[m.triangles])
+    signed = 0.5 * _twice_signed_areas(*(m.vertices[:, k][m.triangles] for k in (0, 1)))
     problems = [
         f"triangle {t} has nonpositive signed area {signed[t]}"
         for t in np.flatnonzero(signed <= 0.0)

@@ -25,6 +25,7 @@ from fria.fem import (
 from fria.friedrichs import best_bound
 from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
+from reference_quadrature import rolled_square
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
@@ -32,6 +33,8 @@ ANISO_Y = DiagonalWeight((1e-4, 1.0))
 FULL = FullWeight(((2.0, 0.5), (0.5, 1.0)))
 # eigenvalues 1 and 1e-4 along the diagonals: equal diagonal entries
 ROTATED = FullWeight(((0.50005, 0.49995), (0.49995, 0.50005)))
+# a weight whose optimized stiffness contraction rounds differently
+SKEWED = FullWeight(((3.0, -1.2), (-1.2, 0.7)))
 
 # n -> infinity energy of -div grad u = 1 on the unit square, computed on
 # the n=256 mesh (the independent Fourier series gives 0.18746801)
@@ -119,6 +122,23 @@ class TestAssembly:
             k_full = assemble_stiffness(mesh_cache(dom, k), alpha)
             sums = np.asarray(k_full.sum(axis=1)).ravel()
             assert np.abs(sums).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [ANISO, FULL, SKEWED], ids=["aniso", "full", "skewed"])
+    @pytest.mark.parametrize("mesh_name", ["rolled", "lshape1"])
+    def test_stiffness_matches_per_triangle_loop(self, mesh_cache, mesh_name, alpha):
+        m = rolled_square(6, 1) if mesh_name == "rolled" else mesh_cache("lshape", 1)
+        a = np.asarray(alpha.matrix)
+        nv = m.num_vertices
+        # sum of |T| grad phi_i^T alpha grad phi_j, and of its magnitudes
+        want, scale = np.zeros((nv, nv)), np.zeros((nv, nv))
+        for tri, area, g in zip(m.triangles, m.areas, m.grads):
+            for i in range(3):
+                for j in range(3):
+                    value = area * (g[i] @ a @ g[j])
+                    want[tri[i], tri[j]] += value
+                    scale[tri[i], tri[j]] += abs(value)
+        got = assemble_stiffness(m, alpha).toarray()
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
     def test_reduced_system_exactly_symmetric(self, mesh_cache):
         m = mesh_cache("square", 8)

@@ -5,9 +5,10 @@
 Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
 keeps the last line of each run, the JSON result.  One more run of
 ``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
-of every level.  The file also records the Python, numpy and scipy versions,
-the CPUs the process may use, the commit, whether tracked files differ
-from it, and ``src_lines``, the total line count of ``src/fria/*.py``.
+of every level and every per-layer time (the metrics named ``*_s``).  The
+file also records the Python, numpy and scipy versions, the CPUs the
+process may use, the commit, whether tracked files differ from it, and
+``src_lines``, the total line count of ``src/fria/*.py``.
 """
 
 import json
@@ -51,6 +52,7 @@ def main():
         "results": results,
         "table2_aniso_cg_iterations": iterations,
         "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
+        "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
     }
     path = ROOT / f"BENCH_{sha[:7]}.json"
