@@ -185,11 +185,13 @@ def dirichlet_stiffness(mesh, alpha):
     return s, k, line_preconditioner(k, mesh, scaled)
 
 
-def solve_dirichlet(mesh, alpha, load):
-    """Solve the reduced Galerkin system for an arbitrary load vector."""
-    s, k, precondition = dirichlet_stiffness(mesh, alpha)
+def solve_diffusion(mesh, alpha, f):
+    """Galerkin solution of the diffusion problem with source f: a constant,
+    or a callable f(x, y) interpolated at the vertices."""
+    nodal_f = f(mesh.vertices[:, 0], mesh.vertices[:, 1]) if callable(f) else float(f)
     free = mesh.interior_vertices
-    b = load[free]
+    b = lumped_load(mesh, nodal_f)[free]
+    s, k, precondition = dirichlet_stiffness(mesh, alpha)
     x, iters = conjugate_gradients(k, b, precondition)  # s times the solution
     values = np.zeros(mesh.num_vertices)
     with np.errstate(over="ignore"):
@@ -199,13 +201,6 @@ def solve_dirichlet(mesh, alpha, load):
     scale = np.linalg.norm(b)
     rel = np.linalg.norm(b - k @ x) / scale if scale > 0.0 else 0.0
     return P1Solution(mesh, values, nodal_gradients(mesh, values), iters, rel)
-
-
-def solve_diffusion(mesh, alpha, f):
-    """Galerkin solution of the diffusion problem with source f: a constant,
-    or a callable f(x, y) interpolated at the vertices."""
-    nodal_f = f(mesh.vertices[:, 0], mesh.vertices[:, 1]) if callable(f) else float(f)
-    return solve_dirichlet(mesh, alpha, lumped_load(mesh, nodal_f))
 
 
 def energy_norm(solution, alpha):

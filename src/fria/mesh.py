@@ -96,9 +96,9 @@ def _edge_codes(triangles, nv):
 
 
 def _finalize(vertices, triangles, domain, n, level):
-    """Edges, adjacency and geometry of any counterclockwise triangle list.
-    The geometry is computed from the corner x and y coordinates as two (t, 3)
-    arrays; (t, 3, 2) corner rows and their strided components cost twice the time."""
+    """Edges, adjacency and geometry of any counterclockwise triangle list, whose
+    order alone fixes the stored normals.  The geometry uses two (t, 3) arrays of
+    corner x and y: (t, 3, 2) corner rows and their strided parts take twice the time."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     nv = len(vertices)
@@ -111,13 +111,18 @@ def _finalize(vertices, triangles, domain, n, level):
     if counts.max() > 2:
         raise MeshError("edge shared by more than two triangles")
     edges = np.column_stack((codes // nv, codes % nv))
-    # flat index k belongs to triangle k // 3, so the first occurrence of
-    # an edge is its lower-index triangle and the last its higher one
-    last = np.zeros(len(codes), dtype=np.int64)
-    np.maximum.at(last, inverse, np.arange(3 * nt))
-    edge_tris = np.column_stack((first // 3, np.where(counts == 2, last // 3, -1)))
+    # flat index k is local edge k % 3 of triangle k // 3, so any occurrence
+    # after an edge's first lies in its higher triangle
+    later = first[inverse] != np.arange(3 * nt)
+    lower, local = np.divmod(first, 3)
+    edge_tris = np.column_stack((lower, np.full(len(codes), -1)))
+    edge_tris[inverse[later], 1] = np.flatnonzero(later) // 3
+    signs = np.where(later, -1.0, 1.0).reshape(nt, 3)
+    # the lower triangle runs its edge j counterclockwise from corner j + 1,
+    # so the lo -> hi normal points out of it unless that corner is hi
+    flip = triangles.ravel()[3 * lower + (local + 1) % 3] == edges[:, 1]
     inverse = inverse.reshape(nt, 3)
-    del keys, codes, first, last
+    del keys, codes, first, later, lower, local
 
     vx, vy = vertices[:, 0], vertices[:, 1]
     x, y = vx[triangles], vy[triangles]
@@ -129,20 +134,12 @@ def _finalize(vertices, triangles, domain, n, level):
         np.subtract(y[:, (j + 1) % 3], y[:, (j + 2) % 3], out=grads[:, j, 0])
         np.subtract(x[:, (j + 2) % 3], x[:, (j + 1) % 3], out=grads[:, j, 1])
     grads /= twice_area[:, None, None]
-    # centroid of each edge's lower triangle, summed in mean(axis=1)'s order
-    lower = edge_tris[:, 0]
-    cx, cy = ((x[:, 0] + x[:, 1] + x[:, 2]) / 3)[lower], ((y[:, 0] + y[:, 1] + y[:, 2]) / 3)[lower]
     del x, y
 
-    ax, ay, bx, by = vx[edges[:, 0]], vy[edges[:, 0]], vx[edges[:, 1]], vy[edges[:, 1]]
-    tx, ty = bx - ax, by - ay
+    tx, ty = (v[edges[:, 1]] - v[edges[:, 0]] for v in (vx, vy))
     edge_lengths = np.hypot(tx, ty)
-    nx, ny = ty / edge_lengths, -tx / edge_lengths
-    outward = (0.5 * (ax + bx) - cx) * nx + (0.5 * (ay + by) - cy) * ny
-    normals = np.stack((nx, ny), axis=1)
-    normals[outward < 0.0] *= -1.0
-
-    signs = np.where(edge_tris[inverse, 0] == np.arange(nt)[:, None], 1.0, -1.0)
+    normals = np.stack((ty / edge_lengths, -tx / edge_lengths), axis=1)
+    normals[flip] *= -1.0
 
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True

@@ -261,6 +261,16 @@ class TestLinePreconditioner:
         with pytest.raises(SolverError, match="not positive definite"):
             solve_diffusion(mesh_cache("square", 8), DiagonalWeight((1.0, -0.5)), 1.0)
 
+    def test_pivot_too_small_to_invert_raises(self, mesh_cache):
+        # the pivots are subnormal, so their reciprocals overflow
+        m = mesh_cache("square", 4)
+        tiny = DiagonalWeight((1e-310, 1e-310))
+        system = _system(m, tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="too small to invert"):
+                line_preconditioner(system, m, tiny)
+
     def test_anisotropic_iterations_do_not_depend_on_the_axis(self, mesh_cache):
         counts = [
             [solve_diffusion(mesh_cache("lshape", lvl), w, 1.0).iterations for lvl in range(5)]

@@ -15,6 +15,7 @@ from reference_quadrature import (
     physical_points,
     residual_by_rule,
     rolled_square,
+    tiny_triangle_soup,
 )
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -181,12 +182,10 @@ class TestManufactured:
     def test_source_oscillation_clamped_on_tiny_triangles(self):
         # at h = 1e-7 the rounding of int f^2 - |T| mean^2 exceeds the true
         # oscillation and is negative on most triangles without the clamp
-        corners = np.random.default_rng(5).uniform(0.1, 0.9, size=(200, 1, 2))
-        pts = (corners + np.array([[0.0, 0.0], [1e-7, 0.0], [0.0, 1e-7]])).reshape(-1, 2)
-        m = _finalize(pts, np.arange(len(pts)).reshape(-1, 3), "square", 1, 1)
+        m = tiny_triangle_soup()
         mean, osc = manufactured.source_moments(m)
         assert np.all(osc >= 0.0)
-        centroid = pts.reshape(-1, 3, 2).mean(axis=1)
+        centroid = m.vertices[m.triangles].mean(axis=1)
         f = manufactured.source(centroid[:, 0], centroid[:, 1])
         assert np.abs(mean - f).max() <= 1e-6
 

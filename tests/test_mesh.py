@@ -16,11 +16,22 @@ from fria.mesh import (
     validate,
 )
 from fria.weights import DiagonalWeight, FullWeight
+from reference_quadrature import rolled_square, tiny_triangle_soup
 
 DIGESTS = Path(__file__).with_name("mesh_digests.json")
 DIGEST_MESHES = [("lshape", k) for k in range(6)] + [
     ("square", n) for n in (1, 2, 3, 8, 33, 64, 128)
 ]
+# meshes whose edge table must put each normal and sign on the lower triangle;
+# the rolled squares and the soup are not among the digest meshes
+ORIENTATION_MESHES = {
+    "lshape0": lambda cache: cache("lshape", 0),
+    "lshape2": lambda cache: cache("lshape", 2),
+    "square5": lambda cache: cache("square", 5),
+    "rolled8-1": lambda cache: rolled_square(8, 1),
+    "rolled8-2": lambda cache: rolled_square(8, 2),
+    "soup1e-7": lambda cache: tiny_triangle_soup(),
+}
 
 
 def lattice_counts_lshape(n):
@@ -150,8 +161,9 @@ class TestStructure:
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.edge_tris, b.edge_tris)
 
-    def test_edge_adjacency_orientation(self, mesh_cache):
-        m = mesh_cache("lshape", 0)
+    @pytest.mark.parametrize("name", ORIENTATION_MESHES)
+    def test_edge_adjacency_orientation(self, mesh_cache, name):
+        m = ORIENTATION_MESHES[name](mesh_cache)
         interior = m.edge_tris[:, 1] >= 0
         assert (m.edge_tris[interior, 0] < m.edge_tris[interior, 1]).all()
         # stored normals point out of the first adjacent triangle
@@ -159,6 +171,11 @@ class TestStructure:
         centroids = m.vertices[m.triangles].mean(axis=1)
         dots = np.einsum("ex,ex->e", mids - centroids[m.edge_tris[:, 0]], m.edge_normals)
         assert (dots > 0.0).all()
+        # sign +1 in an edge's lower triangle, -1 in its higher one
+        t = np.arange(m.num_triangles)[:, None]
+        lower = m.edge_tris[m.tri_edges, 0] == t
+        assert np.array_equal(m.edge_tris[m.tri_edges, 1] == t, ~lower)
+        assert np.array_equal(m.tri_edge_signs, np.where(lower, 1.0, -1.0))
 
     def test_opposite_vertex_convention(self, mesh_cache):
         m = mesh_cache("square", 4)

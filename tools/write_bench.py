@@ -5,10 +5,14 @@
 Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
 keeps the last line of each run, the JSON result.  One more run of
 ``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
-of every level and every per-layer time (the metrics named ``*_s``).  The
-file also records the Python, numpy and scipy versions, the CPUs the
-process may use, the commit, whether tracked files differ from it, and
-``src_lines``, the total line count of ``src/fria/*.py``.
+of every level and every per-layer time (the metrics named ``*_s``).  Then
+``python -m fria.cli experiment table2 --levels 5`` and ``--levels 6`` run
+each in a child process of its own, with ``PYTHONPATH=src``; the file keeps
+the wall time of each and that child's peak RSS, read from ``os.wait4``
+(``RUSAGE_CHILDREN`` would mix in the benchmark runs).  The file also
+records the Python, numpy and scipy versions, the CPUs the process may use,
+the commit, whether tracked files differ from it, and ``src_lines``, the
+total line count of ``src/fria/*.py``.
 """
 
 import json
@@ -16,6 +20,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -34,11 +39,25 @@ def _result(workload, *flags):
     return json.loads(lines.splitlines()[-1])
 
 
+def _cli_run(level):
+    argv = [sys.executable, "-m", "fria.cli", "experiment", "table2", "--levels", str(level)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, argv)
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
 def main():
     results = {w: _result(w, "--trace", "0") for w in WORKLOADS}
     traced = _result("table2_aniso", "--trace", "1", "--seconds", "1")["metrics"]
     prefix = "fem.cg_iters.L"
     iterations = {k[len(prefix) - 1:]: v["value"] for k, v in traced.items() if k.startswith(prefix)}
+    cli_runs = {f"table2 --levels {level}": _cli_run(level) for level in (5, 6)}
     sha = _stdout("git", "rev-parse", "HEAD").strip()
     record = {
         "commit": sha,
@@ -53,6 +72,7 @@ def main():
         "table2_aniso_cg_iterations": iterations,
         "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
         "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
+        "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
     }
     path = ROOT / f"BENCH_{sha[:7]}.json"
