@@ -256,8 +256,9 @@ def main(argv=None):
     except (UsageError, OSError, MeshError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 1
-    except (WeightError, ValueError, SolverError) as exc:
-        sys.stderr.write(f"fria: {exc}\n")
+    except (WeightError, ValueError, SolverError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        sys.stderr.write(f"fria: {str(exc) or type(exc).__name__}\n")
         return 2
     return 0
 

@@ -9,6 +9,7 @@ preconditioner and a deterministic, fixed-order accumulation.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,18 +27,17 @@ class SolverError(RuntimeError):
 
 @dataclass
 class P1Solution:
-    """Nodal P1 field with its per-triangle constant gradient cache."""
+    """Nodal P1 field; its per-triangle constant ``gradients`` are derived
+    from ``values`` on first read and cached."""
 
     mesh: object
     values: np.ndarray
-    gradients: np.ndarray
     iterations: int = 0
     residual: float = 0.0
 
-
-def nodal_gradients(mesh, values):
-    """Per-triangle gradient of the P1 interpolant of nodal values."""
-    return np.einsum("tj,tjx->tx", values[mesh.triangles], mesh.grads)
+    @cached_property
+    def gradients(self):
+        return np.einsum("tj,tjx->tx", self.values[self.mesh.triangles], self.mesh.grads)
 
 
 def _scatter(mesh, local):
@@ -200,7 +200,7 @@ def solve_diffusion(mesh, alpha, f):
         raise SolverError(f"solution overflows when scaled back from the weight scale {s}")
     scale = np.linalg.norm(b)
     rel = np.linalg.norm(b - k @ x) / scale if scale > 0.0 else 0.0
-    return P1Solution(mesh, values, nodal_gradients(mesh, values), iters, rel)
+    return P1Solution(mesh, values, iters, rel)
 
 
 def energy_norm(solution, alpha):

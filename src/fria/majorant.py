@@ -19,7 +19,6 @@ from .mesh import build_lshape
 class MajorantBreakdown:
     """The two majorant terms and their certified combination."""
 
-    constant_used: float
     residual_norm: float
     defect_norm: float
     total: float
@@ -45,7 +44,7 @@ def evaluate_majorant(c_tilde, solution, field, alpha, f):
     ``flux.residual_norm`` takes it."""
     c_tilde = _positive(c_tilde)
     residual, defect = flux_defect_norms(field, solution, alpha, f)
-    return MajorantBreakdown(c_tilde, residual, defect, _total(c_tilde, residual, defect))
+    return MajorantBreakdown(residual, defect, _total(c_tilde, residual, defect))
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,6 @@ class DiagonalWeight:
         return len(self.entries)
 
     @property
-    def uniformly_positive(self):
-        return all(a > 0.0 for a in self.entries)
-
-    @property
     def matrix(self):
         return tuple(
             tuple(self.entries[i] if i == j else 0.0 for j in range(self.d))

@@ -301,6 +301,22 @@ class TestErrors:
         assert err.startswith("fria: ") and "does not apply" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 144. MiB"], ids=["bare", "numpy"])
+    def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch, tmp_path, message):
+        from fria import majorant
+
+        def exhausted(level):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(majorant, "build_lshape", exhausted)
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"kept\n")
+        code, out, err = run(capsys, "experiment", "table2", "--levels", "0", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("fria: ") and err.count("\n") == 1 and err != "fria: \n"
+        assert message in err
+        assert path.read_bytes() == b"kept\n"
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,7 +19,6 @@ from fria.fem import (
     energy_norm,
     line_preconditioner,
     lumped_load,
-    nodal_gradients,
     reduce_system,
     solve_diffusion,
 )
@@ -43,7 +43,7 @@ SQUARE_UNIT_LOAD_ENERGY = 0.18746336
 
 def interpolant(mesh, fn):
     values = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    return P1Solution(mesh, values, nodal_gradients(mesh, values))
+    return P1Solution(mesh, values)
 
 
 class TestSolve:
@@ -67,6 +67,20 @@ class TestSolve:
             basis = np.column_stack([np.ones(3), pts])
             coeff = np.linalg.solve(basis, s.values[m.triangles[t]])
             assert np.allclose(coeff[1:], s.gradients[t], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "build", [lambda c: c("lshape", 1), lambda c: rolled_square(8, 1)], ids=["L1", "rolled"]
+    )
+    def test_gradients_derived_from_values(self, mesh_cache, build):
+        m = build(mesh_cache)
+        values = np.random.default_rng(3).normal(size=m.num_vertices)
+        s = P1Solution(m, values)
+        corners = values[m.triangles]
+        by_triangle = sum(corners[:, j, None] * m.grads[:, j] for j in range(3))
+        assert np.array_equal(s.gradients, by_triangle)
+        # a copy with other values derives its own gradients, never a stale one
+        doubled = dataclasses.replace(s, values=2.0 * s.values)
+        assert np.array_equal(doubled.gradients, 2.0 * s.gradients)
 
     def test_energy_reference_from_fine_grid(self, mesh_cache):
         energies = []

@@ -65,6 +65,45 @@ def test_every_constant_is_read():
     assert unread == [], f"constants no module reads: {unread}"
 
 
+def _decorator_names(node):
+    """Names of a definition's decorators, called or not, bare or dotted."""
+    calls = (getattr(d, "func", d) for d in node.decorator_list)
+    return {d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None) for d in calls}
+
+
+PROPERTIES = {"property", "cached_property"}
+
+
+def test_every_member_is_read():
+    """A public dataclass field or property that no code of the package, the
+    benchmark or the tools reads as an attribute is kept for tests alone.
+
+    Names are matched, not types: a field ``TriMesh.level`` would pass
+    unseen, as ``args.level`` and ``ExperimentRow.level`` share its name."""
+    root = PACKAGE.parents[1]
+    sources = [p for d in (PACKAGE, root / "perfbench", root / "tools") for p in d.glob("*.py")]
+    read = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members = []
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            is_dataclass = "dataclass" in _decorator_names(cls)
+            for node in cls.body:
+                if is_dataclass and isinstance(node, ast.AnnAssign):
+                    members.append((cls.name, node.target.id))
+                elif isinstance(node, ast.FunctionDef) and _decorator_names(node) & PROPERTIES:
+                    members.append((cls.name, node.name))
+    assert len(members) >= 30, members
+    unread = sorted(f"{cls}.{name}" for cls, name in members if name not in read)
+    assert unread == [], f"members nothing outside the tests reads: {unread}"
+
+
 def test_every_module_is_imported():
     # a module that neither another module nor an entry point imports is left over
     scripts = (PACKAGE.parents[1] / "pyproject.toml").read_text()

@@ -187,7 +187,7 @@ class TestStructure:
 
     def test_boundary_edges_outward(self, mesh_cache):
         m = mesh_cache("square", 4)
-        b = m.boundary_edges
+        b = np.flatnonzero(m.edge_tris[:, 1] < 0)
         # all boundary edge signs are +1 for their single triangle
         for e in b:
             t = m.edge_tris[e, 0]

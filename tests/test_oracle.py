@@ -34,6 +34,7 @@ class TestEigenEstimate:
         assert est.c_estimate >= 0.99 * bound
         # discrete eigenvalue overestimates the true 2 pi^2
         assert est.lambda_min >= 2.0 * math.pi**2
+        assert est.c_estimate == 1.0 / np.sqrt(est.lambda_min)
 
     def test_separable_anisotropy(self, mesh_cache):
         delta = 1e-2
