@@ -38,6 +38,7 @@ class TriMesh:
     boundary_vertex : (nv,) bool array
     domain : 'square' or 'lshape'
     n : grid resolution (cells per unit length)
+    level : refinement index (equals n for square meshes)
 
     Derived arrays (filled by the builder): per-triangle areas and P1
     basis gradients, per-edge lengths/normals, and the triangle-to-edge
@@ -53,6 +54,7 @@ class TriMesh:
     boundary_vertex: np.ndarray
     domain: str
     n: int
+    level: int
     areas: np.ndarray
     grads: np.ndarray
     edge_lengths: np.ndarray
@@ -89,7 +91,7 @@ def _edge_codes(triangles, nv):
     return local.min(axis=2) * nv + local.max(axis=2)
 
 
-def _finalize(vertices, triangles, domain, n):
+def _finalize(vertices, triangles, domain, n, level):
     """Edges, adjacency and geometry of any counterclockwise triangle list, whose
     order alone fixes the stored normals.  The geometry uses two (t, 3) arrays of
     corner x and y: (t, 3, 2) corner rows and their strided parts take twice the time."""
@@ -146,6 +148,7 @@ def _finalize(vertices, triangles, domain, n):
         boundary_vertex=boundary_vertex,
         domain=domain,
         n=n,
+        level=level,
         areas=0.5 * twice_area,
         grads=grads,
         edge_lengths=edge_lengths,
@@ -155,14 +158,13 @@ def _finalize(vertices, triangles, domain, n):
     )
 
 
-def _build_grid(keep, domain):
-    """Triangulate the cells ``(i, j)`` with ``keep[i, j]`` of an n x n grid, n = len(keep).
+def _build_grid(n, keep, domain, level):
+    """Triangulate the cells ``(i, j)`` of an n x n grid with ``keep[i, j]``.
 
     Vertices and cells are numbered row by row from y = 0 (``j`` outer,
     ``i`` inner); each cell gives the triangles (a, b, c) and (a, c, d) of
     its corners a, b, c, d counterclockwise from the lower left.
     """
-    n = len(keep)
     cells = keep.T
     # a vertex is used when any of the (up to) four cells around it is kept
     pad = np.pad(cells, 1)
@@ -177,7 +179,7 @@ def _build_grid(keep, domain):
     c = index[cj + 1, ci + 1]
     d = index[cj + 1, ci]
     triangles = np.column_stack((a, b, c, a, c, d)).reshape(-1, 3)
-    return _finalize(vertices, triangles, domain, n)
+    return _finalize(vertices, triangles, domain, n, level)
 
 
 def build_lshape(level):
@@ -187,7 +189,7 @@ def build_lshape(level):
     n = 16 * 2**level
     keep = np.ones((n, n), dtype=bool)
     keep[n // 2 :, : n // 2] = False
-    return _build_grid(keep, "lshape")
+    return _build_grid(n, keep, "lshape", level)
 
 
 def build_unit_square(n):
@@ -197,7 +199,7 @@ def build_unit_square(n):
         raise MeshError(f"n must be at least 1, got {n}")
     if n > 16 * 2**MAX_LEVEL:
         raise MeshError(f"n = {n} exceeds the refinement guard")
-    return _build_grid(np.ones((n, n), dtype=bool), "square")
+    return _build_grid(n, np.ones((n, n), dtype=bool), "square", n)
 
 
 def prolongation(coarse, fine):

@@ -90,11 +90,11 @@ def rolled_square(n, first_corner):
     """The unit square mesh with every triangle listed from another corner."""
     square = build_unit_square(n)
     rolled = np.roll(square.triangles, first_corner, axis=1)
-    return _finalize(square.vertices, rolled, "square", n)
+    return _finalize(square.vertices, rolled, "square", n, n)
 
 
 def tiny_triangle_soup():
     """200 disjoint counterclockwise right triangles with legs of 1e-7."""
     corners = np.random.default_rng(5).uniform(0.1, 0.9, size=(200, 1, 2))
     pts = (corners + np.array([[0.0, 0.0], [1e-7, 0.0], [0.0, 1e-7]])).reshape(-1, 2)
-    return _finalize(pts, np.arange(len(pts)).reshape(-1, 3), "square", 1)
+    return _finalize(pts, np.arange(len(pts)).reshape(-1, 3), "square", 1, 1)

@@ -46,7 +46,9 @@ def interpolant(mesh, fn):
 
 
 def single_reference_triangle():
-    return _finalize([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], "square", 1)
+    return _finalize(
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], "square", 1, 1
+    )
 
 
 class TestAverage:

@@ -74,20 +74,27 @@ def _decorator_names(node):
 PROPERTIES = {"property", "cached_property"}
 
 
+def _attributes_read(tree):
+    """Names read as ``obj.name`` or by ``getattr(obj, "name", ...)`` / ``hasattr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in {"getattr", "hasattr"}
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+
 def test_every_member_is_read():
     """A public dataclass field or property that no code of the package, the
     benchmark or the tools reads as an attribute is kept for tests alone.
-
-    Names are matched, not types: a field ``TriMesh.level`` would pass
-    unseen, as ``args.level`` and ``ExperimentRow.level`` share its name."""
+    Names are matched, not types."""
     root = PACKAGE.parents[1]
     sources = [p for d in (PACKAGE, root / "perfbench", root / "tools") for p in d.glob("*.py")]
-    read = {
-        node.attr
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    read = {name for path in sources for name in _attributes_read(ast.parse(path.read_text()))}
     members = []
     for path in PACKAGE.glob("*.py"):
         for cls in ast.parse(path.read_text()).body:

@@ -124,7 +124,7 @@ class TestManufactured:
         # a valid mesh may list each triangle from any of its corners
         square = build_unit_square(5)
         rolled = np.roll(square.triangles, first_corner, axis=1)
-        m = _finalize(square.vertices, rolled, "square", 5)
+        m = _finalize(square.vertices, rolled, "square", 5, 5)
         assert validate(m) == []
         produced = manufactured.grad_u_integrals(m)
         bary, wq = gauss_collapsed(14)

@@ -74,6 +74,11 @@ class TestLShape:
     def test_level4_count(self, mesh_cache):
         assert mesh_cache("lshape", 4).num_triangles == 98304
 
+    def test_level_recorded(self, mesh_cache):
+        # the benchmark trace labels each L-shape solve by its mesh's level
+        for level in (0, 1, 2):
+            assert mesh_cache("lshape", level).level == level
+
     def test_total_area(self, mesh_cache):
         for level in (0, 1, 2):
             assert mesh_cache("lshape", level).areas.sum() == pytest.approx(0.75, abs=1e-12)
