@@ -4,7 +4,8 @@ The stiffness integrand is constant per triangle, so assembly is exact.
 Homogeneous Dirichlet conditions are imposed by eliminating boundary rows
 and columns, which keeps the reduced system exactly symmetric positive
 definite.  The solver is conjugate gradients with a line-relaxation
-preconditioner and a deterministic, fixed-order accumulation.
+preconditioner and a deterministic, fixed-order accumulation; the eigenvalue
+oracle takes the same system with a V-cycle that smooths by that relaxation.
 """
 
 import math
@@ -14,11 +15,16 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import build_lshape, build_unit_square, prolongation
 from .weights import FullWeight, largest_eigenvalue
 
 # relative residual of the Galerkin solves
 RTOL = 1e-10
 _ITERS_PER_UNKNOWN = 10  # CG iteration budget
+# V-cycle: damping of the line smoother, and the most unknowns of a level
+# that is coarsened no further and solved by a dense factor
+_OMEGA = 0.7
+_COARSEST = 300
 
 
 class SolverError(RuntimeError):
@@ -131,6 +137,60 @@ def line_preconditioner(a, mesh, alpha):
         return flat[slot]
 
     return apply
+
+
+def _coarser(mesh):
+    """The mesh that ``mesh`` refines once (the L-shape one level down, or the
+    square of n / 2 cells), or None when it has none."""
+    if mesh.domain == "lshape" and mesh.level > 0:
+        return build_lshape(mesh.level - 1)
+    if mesh.domain == "square" and mesh.n % 2 == 0:
+        return build_unit_square(mesh.n // 2)
+    return None
+
+
+def multigrid_stiffness(mesh, alpha):
+    """``dirichlet_stiffness`` with a symmetric V(1,1) cycle as ``precondition``.
+
+    Each level is ``dirichlet_stiffness`` of a coarser mesh, so all share the
+    scale s; it is smoothed by its line apply damped by ``_OMEGA`` before and
+    after the correction from the next level, to which residuals move by the
+    transposed interior ``prolongation``.  Coarsening stops at ``_COARSEST``
+    unknowns or at a mesh with no coarser one; that last level is solved by a
+    dense Cholesky factor, or by its line apply when larger.  With no coarser
+    level the apply is the line apply itself.  The levels live in a list read
+    by one loop: a closure calling itself would keep the hierarchy in a
+    reference cycle until the cyclic collector ran."""
+    s, k, line = dirichlet_stiffness(mesh, alpha)
+    levels = []  # (stiffness, smoother, prolongation from the next level)
+    fine, a, smooth = mesh, k, line
+    while a.shape[0] > _COARSEST and (coarse := _coarser(fine)) is not None:
+        p = prolongation(coarse, fine)[fine.interior_vertices][:, coarse.interior_vertices]
+        levels.append((a, smooth, p))
+        fine, (_, a, smooth) = coarse, dirichlet_stiffness(coarse, alpha)
+    if not levels:
+        return s, k, line
+    solve = smooth
+    if a.shape[0] <= _COARSEST:
+        try:
+            root = np.linalg.inv(np.linalg.cholesky(a.toarray()))
+        except np.linalg.LinAlgError:
+            raise SolverError("stiffness is not positive definite") from None
+        solve = (root.T @ root).dot  # the inverse of a
+
+    def apply(r):
+        down = []
+        for a, smooth, p in levels:
+            x = _OMEGA * smooth(r)
+            down.append((r, x))
+            r = p.T @ (r - a @ x)
+        x = solve(r)
+        for (a, smooth, p), (r, before) in zip(levels[::-1], down[::-1]):
+            x = before + p @ x
+            x += _OMEGA * smooth(r - a @ x)
+        return x
+
+    return s, k, apply
 
 
 @np.errstate(over="ignore", invalid="ignore")

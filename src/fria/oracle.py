@@ -3,7 +3,8 @@ weighted Friedrichs constant, and reference-based energy errors.
 
 The smallest generalized eigenvalue of (stiffness, consistent mass) on
 the interior vertices is found by block-size-1 LOBPCG (Knyazev, SIAM J.
-Sci. Comput. 23(2), 2001), preconditioned by line relaxation.  Conforming
+Sci. Comput. 23(2), 2001), preconditioned by a V-cycle with line smoothing
+(Trottenberg, Oosterlee and Schueller, Multigrid, 2001).  Conforming
 Rayleigh quotients overestimate the eigenvalue, so the returned constant
 estimate 1/sqrt(lambda) underestimates the true constant at every
 iterate; it is used one-sidedly against the closed-form bounds.
@@ -18,8 +19,8 @@ from .fem import (
     P1Solution,
     SolverError,
     assemble_mass,
-    dirichlet_stiffness,
     energy_norm,
+    multigrid_stiffness,
     reduce_system,
 )
 from .mesh import prolongation
@@ -54,17 +55,18 @@ def _ritz(v):
 def estimate_cfa(mesh, alpha):
     """Constant estimate from the smallest (stiffness, mass) eigenvalue.
 
-    Each step is a Rayleigh-Ritz step on the iterate x, the line-preconditioned
-    residual and the previous direction p, which is dropped when numerically
-    dependent.  v[0], v[1], v[2] hold these rows, their K and their M
-    products, which follow the rows' combinations, so a step costs one
-    product with each matrix and one preconditioner apply.  The iteration
-    runs on the stiffness of alpha / s from ``dirichlet_stiffness``, so any
-    weight magnitude stays in float range and the eigenvalue is exactly s
-    times the scaled one.
+    Each step is a Rayleigh-Ritz step on the iterate x, the residual
+    preconditioned by a V-cycle with line smoothing (``multigrid_stiffness``;
+    the line apply alone on a mesh with no coarser level) and the previous
+    direction p, which is dropped when numerically dependent.  v[0], v[1],
+    v[2] hold these rows, their K and their M products, which follow the
+    rows' combinations, so a step costs one product with each matrix and one
+    preconditioner apply.  The iteration runs on the stiffness of alpha / s,
+    so any weight magnitude stays in float range and the eigenvalue is
+    exactly s times the scaled one.
     """
-    s, k, precondition = dirichlet_stiffness(mesh, alpha)
-    m = reduce_system(assemble_mass(mesh), mesh)
+    m = reduce_system(assemble_mass(mesh), mesh)  # before the hierarchy: their peaks do not add
+    s, k, precondition = multigrid_stiffness(mesh, alpha)
     n = k.shape[0]
     if n == 0:
         raise SolverError("mesh has no interior vertices: refine it")

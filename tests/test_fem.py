@@ -19,6 +19,7 @@ from fria.fem import (
     energy_norm,
     line_preconditioner,
     lumped_load,
+    multigrid_stiffness,
     reduce_system,
     solve_diffusion,
 )
@@ -309,6 +310,7 @@ class TestLinePreconditioner:
             "import sys\n"
             "import fria\n"
             "fria.solve_diffusion(fria.build_lshape(0), fria.DiagonalWeight((1.0, 1e-4)), 1.0)\n"
+            "fria.estimate_cfa(fria.build_lshape(1), fria.DiagonalWeight((1.0, 1e-4)))\n"
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n"
         )
         src = str(Path(fem.__file__).resolve().parents[1])
@@ -317,3 +319,37 @@ class TestLinePreconditioner:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert out.stdout == "[]\n"
+
+
+class TestMultigrid:
+    # square 50 stops at the odd n = 25 (576 unknowns): its coarsest level is smoothed
+    @pytest.mark.parametrize("domain, k", [("square", 32), ("lshape", 2), ("square", 50)])
+    @pytest.mark.parametrize("alpha", [ANISO, IDENT, FULL, ROTATED], ids=["x", "ident", "full", "rotated"])
+    def test_vcycle_is_symmetric_positive(self, mesh_cache, domain, k, alpha):
+        m = mesh_cache(domain, k)
+        _, system, apply = multigrid_stiffness(m, alpha)
+        line = fem.dirichlet_stiffness(m, alpha)[2]
+        x, y = np.random.default_rng(5).standard_normal((2, system.shape[0]))
+        bx, by = apply(x), apply(y)
+        assert abs(x @ by - y @ bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(by)
+        assert x @ bx > 0.0 and y @ by > 0.0
+        assert not np.allclose(bx, line(x))  # a V-cycle, not the line apply
+
+    def test_repeated_applies_agree(self, mesh_cache):
+        m = mesh_cache("lshape", 2)
+        apply = multigrid_stiffness(m, ANISO)[2]
+        r1, r2 = np.random.default_rng(6).standard_normal((2, len(m.interior_vertices)))
+        first = apply(r1)
+        apply(r2)
+        assert np.array_equal(apply(r1), first)
+
+    def test_indefinite_coarsest_level_raises(self, mesh_cache, monkeypatch):
+        build = fem.dirichlet_stiffness
+
+        def negated_on_n16(mesh, alpha):
+            s, k, line = build(mesh, alpha)
+            return (s, -k, line) if mesh.n == 16 else (s, k, line)
+
+        monkeypatch.setattr(fem, "dirichlet_stiffness", negated_on_n16)
+        with pytest.raises(SolverError, match="not positive definite"):
+            multigrid_stiffness(mesh_cache("square", 32), IDENT)

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fria import manufactured, oracle
+from fria import fem, manufactured, oracle
 from fria.fem import SolverError, assemble_mass, assemble_stiffness, reduce_system, solve_diffusion
 from fria.flux import rt_average
 from fria.friedrichs import coarse_bound, diagonal_bound, full_bound
@@ -13,6 +14,7 @@ from fria.majorant import evaluate_majorant
 from fria.mesh import prolongation
 from fria.oracle import estimate_cfa, reference_energy_error
 from fria.weights import DiagonalWeight, DInterval, FullWeight
+from reference_quadrature import rolled_square
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
@@ -65,7 +67,8 @@ class TestEigenEstimate:
         assert est.residual <= 1e-8 * est.lambda_min
         assert est.iterations <= oracle._STEPS_PER_UNKNOWN * len(m.interior_vertices)
 
-    @pytest.mark.parametrize("domain,k", [("square", 8), ("lshape", 0)])
+    # square 32 and L1 run the V-cycle, square 8 and L0 the line apply alone
+    @pytest.mark.parametrize("domain,k", [("square", 8), ("lshape", 0), ("square", 32), ("lshape", 1)])
     @pytest.mark.parametrize(
         "w",
         [DiagonalWeight((1.0, 1e-2)), FullWeight(((2.0, 0.5), (0.5, 1.0))), rotated(30, 1.0, 1e-8)],
@@ -82,6 +85,39 @@ class TestEigenEstimate:
         assert est.lambda_min == pytest.approx(lams[0], rel=1e-12)
         assert est.c_estimate <= 1.0 / math.sqrt(lams[0] - rounding)
 
+    @pytest.mark.parametrize("delta", [1e-2, 1.0, 1e2])
+    def test_vcycle_steps_bounded(self, mesh_cache, delta):
+        # the line apply alone takes 87, 143 and 87 steps here, a count that grows with 1/h
+        assert estimate_cfa(mesh_cache("square", 64), DiagonalWeight((1.0, delta))).iterations <= 40
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: c("lshape", 0),
+            lambda c: c("square", 8),
+            lambda c: rolled_square(8, 1),
+            lambda c: c("square", 33),
+        ],
+        ids=["L0", "n8", "rolled", "n33"],
+    )
+    def test_no_coarser_level_keeps_the_line_apply_bits(self, mesh_cache, monkeypatch, build):
+        m = build(mesh_cache)
+        w = DiagonalWeight((1.0, 1e-2))
+        est = estimate_cfa(m, w)
+        monkeypatch.setattr(oracle, "multigrid_stiffness", fem.dirichlet_stiffness)
+        line = estimate_cfa(m, w)
+        assert est == line
+
+    def test_hierarchy_freed_without_the_cycle_collector(self, mesh_cache):
+        m = mesh_cache("square", 32)
+        gc.collect()
+        gc.disable()
+        try:
+            estimate_cfa(m, DiagonalWeight((1.0, 1e-2)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_exhausted_budget_raises(self, mesh_cache, monkeypatch):
         monkeypatch.setattr(oracle, "_STEPS_PER_UNKNOWN", 0)
         with pytest.raises(SolverError, match="did not converge"):
@@ -93,6 +129,12 @@ class TestEigenEstimate:
     def test_indefinite_stiffness_raises(self, mesh_cache, w):
         with pytest.raises(SolverError, match="not positive definite"):
             estimate_cfa(mesh_cache("square", 8), w)
+
+    def test_indefinite_stiffness_raises_through_the_vcycle(self, mesh_cache):
+        # every line block and the coarse level are definite here, so the
+        # hierarchy builds and the Rayleigh quotient finds the sign
+        with pytest.raises(SolverError, match="not positive definite"):
+            estimate_cfa(mesh_cache("square", 32), DiagonalWeight((1.0, -0.0035)))
 
     def test_bound_domination(self, mesh_cache):
         m = mesh_cache("square", 32)
@@ -122,12 +164,13 @@ class TestEigenEstimate:
         assert est.lambda_min == pytest.approx(one.lambda_min * scale, rel=1e-15)
 
     def test_power_of_two_scaling_is_exact(self, mesh_cache):
-        m = mesh_cache("square", 8)
         w = FullWeight(((2.0, 0.5), (0.5, 1.0)))
-        one = estimate_cfa(m, w)
-        big = estimate_cfa(m, FullWeight(((2.0**600, 2.0**598), (2.0**598, 2.0**599))))
-        assert big.lambda_min == one.lambda_min * 2.0**599
-        assert big.iterations == one.iterations
+        for n in (8, 32):  # at n = 32 every V-cycle level shares the scale
+            m = mesh_cache("square", n)
+            one = estimate_cfa(m, w)
+            big = estimate_cfa(m, FullWeight(((2.0**600, 2.0**598), (2.0**598, 2.0**599))))
+            assert big.lambda_min == one.lambda_min * 2.0**599
+            assert big.iterations == one.iterations
 
     @pytest.mark.parametrize(
         "w", [DiagonalWeight((0.0, 0.0)), FullWeight(((-1.0, 0.0), (0.0, -1.0)))]

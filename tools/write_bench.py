@@ -5,14 +5,16 @@
 Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
 keeps the last line of each run, the JSON result.  One more run of
 ``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
-of every level and every per-layer time (the metrics named ``*_s``).  Then
-``python -m fria.cli experiment table2 --levels 5`` and ``--levels 6`` run
-each in a child process of its own, with ``PYTHONPATH=src``; the file keeps
-the wall time of each and that child's peak RSS, read from ``os.wait4``
-(``RUSAGE_CHILDREN`` would mix in the benchmark runs).  The file also
-records the Python, numpy and scipy versions, the CPUs the process may use,
-the commit, whether tracked files differ from it, and ``src_lines``, the
-total line count of ``src/fria/*.py``.
+of every level and every per-layer time (the metrics named ``*_s``), and one
+of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
+``count oracle.outer_iters.delta*`` lines).  Then ``python -m fria.cli
+experiment table2 --levels 5`` and ``--levels 6`` and ``oracle cfa --n 128``
+run each in a child process of its own, with ``PYTHONPATH=src``; the file
+keeps the wall time of each and that child's peak RSS, read from
+``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark runs).  The
+file also records the Python, numpy and scipy versions, the CPUs the
+process may use, the commit, whether tracked files differ from it, and
+``src_lines``, the total line count of ``src/fria/*.py``.
 """
 
 import json
@@ -34,13 +36,24 @@ def _stdout(*argv):
     return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
 
+def _bench_lines(workload, *flags):
+    return _stdout(sys.executable, "perfbench/run.py", "--workload", workload, *flags).splitlines()
+
+
 def _result(workload, *flags):
-    lines = _stdout(sys.executable, "perfbench/run.py", "--workload", workload, *flags)
-    return json.loads(lines.splitlines()[-1])
+    return json.loads(_bench_lines(workload, *flags)[-1])
 
 
-def _cli_run(level):
-    argv = [sys.executable, "-m", "fria.cli", "experiment", "table2", "--levels", str(level)]
+def _oracle_steps():
+    """LOBPCG steps per anisotropy delta of one traced ``oracle_cfa`` run."""
+    prefix = "count oracle.outer_iters.delta"
+    lines = _bench_lines("oracle_cfa", "--trace", "1", "--seconds", "1")
+    pairs = (line[len(prefix):].split() for line in lines if line.startswith(prefix))
+    return {delta: json.loads(steps) for delta, steps in pairs}
+
+
+def _cli_run(*args):
+    argv = [sys.executable, "-m", "fria.cli", *args]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
     child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
@@ -57,7 +70,11 @@ def main():
     traced = _result("table2_aniso", "--trace", "1", "--seconds", "1")["metrics"]
     prefix = "fem.cg_iters.L"
     iterations = {k[len(prefix) - 1:]: v["value"] for k, v in traced.items() if k.startswith(prefix)}
-    cli_runs = {f"table2 --levels {level}": _cli_run(level) for level in (5, 6)}
+    cli_runs = {
+        f"table2 --levels {level}": _cli_run("experiment", "table2", "--levels", str(level))
+        for level in (5, 6)
+    }
+    cli_runs["oracle cfa --n 128"] = _cli_run("oracle", "cfa", "--n", "128")
     sha = _stdout("git", "rev-parse", "HEAD").strip()
     record = {
         "commit": sha,
@@ -72,6 +89,7 @@ def main():
         "table2_aniso_cg_iterations": iterations,
         "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
         "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
+        "oracle_cfa_steps": _oracle_steps(),
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
     }
