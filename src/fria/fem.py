@@ -46,17 +46,26 @@ class P1Solution:
         return np.einsum("tj,tjx->tx", self.values[self.mesh.triangles], self.mesh.grads)
 
 
-def _scatter(mesh, local):
-    """Sum the (nt, 3, 3) local matrices into the global CSR matrix.
+def _scatter(mesh, diagonal, edge_share):
+    """The global CSR matrix from each triangle's (nt, 3) diagonal entries and
+    its (nt, 3) shares of its edges' entries, edge j opposite local vertex j.
 
-    The triplet indices are int32, as scipy stores the CSR indices of fewer
-    than 2**31 vertices (MAX_LEVEL stays far below); int64 triplets would
-    only be copied down."""
-    triangles = mesh.triangles.astype(np.int32)
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
+    A P1 matrix is nonzero only on the diagonal and on the edges, so the COO
+    holds nv + 2 ne entries: each vertex's diagonal summed over ``triangles``,
+    and each edge's entry summed over ``tri_edges``, stored once per edge and
+    mirrored through ``edges``.  ``np.bincount`` adds a vertex's terms in
+    triangle order.  The 9 nt local-matrix triplets this replaces were added
+    in the order of scipy's in-row sort, which gives the same bits on the
+    L-shapes and the power-of-two squares.  The indices are int32, as scipy
+    stores the CSR indices of fewer than 2**31 vertices."""
     nv = mesh.num_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    own = np.arange(nv, dtype=np.int32)
+    lo, hi = mesh.edges.T
+    shared = np.bincount(mesh.tri_edges.ravel(), edge_share.ravel(), mesh.num_edges)
+    data = np.concatenate((np.bincount(mesh.triangles.ravel(), diagonal.ravel(), nv), shared, shared))
+    del shared
+    coo = sp.coo_matrix((data, (np.concatenate((own, lo, hi)), np.concatenate((own, hi, lo)))), (nv, nv))
+    return coo.tocsr()
 
 
 def assemble_stiffness(mesh, alpha):
@@ -64,19 +73,26 @@ def assemble_stiffness(mesh, alpha):
     a = np.asarray(alpha.matrix, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("diffusion assembly needs a 2x2 weight")
-    # local matrices |T| G alpha G^T, symmetrized to make the triplet
-    # store exactly symmetric despite rounding
     g = mesh.grads
-    local = np.einsum("tia,ab,tjb->tij", g, a, g, optimize=True) * mesh.areas[:, None, None]
-    local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
-    return _scatter(mesh, local)
+    ga = g @ a
+
+    def local(i, j):  # |T| (G alpha G^T)_ij of every triangle
+        return (ga[:, i, None, :] @ g[:, j, :, None])[:, 0, 0] * mesh.areas
+
+    diagonal = np.column_stack([local(j, j) for j in range(3)])
+    # the mean of the two orders makes the matrix exactly symmetric despite rounding
+    edge = np.column_stack(
+        [0.5 * (local((j + 1) % 3, (j + 2) % 3) + local((j + 2) % 3, (j + 1) % 3)) for j in range(3)]
+    )
+    del ga
+    return _scatter(mesh, diagonal, edge)
 
 
 def assemble_mass(mesh):
-    """Consistent P1 mass matrix (exact, not lumped)."""
-    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = ref[None, :, :] * mesh.areas[:, None, None]
-    return _scatter(mesh, local)
+    """Consistent P1 mass matrix (exact, not lumped): |T| 2/12 on the diagonal
+    and |T| 1/12 on the edges of each triangle."""
+    share = np.repeat(mesh.areas[:, None] * (1.0 / 12.0), 3, axis=1)
+    return _scatter(mesh, 2.0 * share, share)
 
 
 def lumped_load(mesh, nodal_f):

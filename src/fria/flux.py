@@ -71,18 +71,23 @@ def defect_norm(field, solution, alpha):
         ainv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix is singular") from None
-    x, y = (mesh.vertices[:, k][mesh.triangles] for k in (0, 1))
-    # e_j by components, the centroid summed in mean(axis=1)'s order
-    ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in (x, y))
+    # e_j by components, the centroid summed in mean(axis=1)'s order; each
+    # (t, 3) corner gather and each product below is dropped once read, which
+    # keeps this step below the solve's peak memory
+    corners = (mesh.vertices[:, k][mesh.triangles] for k in (0, 1))
+    ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in corners)
     # coefficient of (x - p_j) for the vertex p_j opposite edge j
     coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
     flux = solution.gradients @ a.T
     dx, dy = (-np.einsum("tj,tj->t", coeff, e) - q for e, q in zip((ex, ey), flux.T))
     half_div = coeff.sum(axis=1)
+    del flux, coeff
     # the quadratic forms of alpha^-1, written out
     (ixx, ixy), (iyx, iyy) = ainv
     sxx, sxy, syy = (np.einsum("tj,tj->t", u, v) for u, v in ((ex, ex), (ex, ey), (ey, ey)))
+    del ex, ey
     spread = (ixx * sxx + (ixy + iyx) * sxy + iyy * syy) / 12.0
+    del sxx, sxy, syy
     dens = ixx * dx * dx + (ixy + iyx) * dx * dy + iyy * dy * dy + half_div * half_div * spread
     return float(np.sqrt(np.sum(mesh.areas * dens)))
 

@@ -54,6 +54,19 @@ class ExperimentRow:
     majorants: tuple
 
 
+def _certify_level(level, alpha, f, constants, sink):
+    """One row of the experiment.  Its mesh, solution and flux die on return,
+    so no level's arrays are alive while the next one is built."""
+    mesh = build_lshape(level)
+    solution = solve_diffusion(mesh, alpha, f)
+    if sink is not None:
+        sink(level, solution)
+    field = rt_average(solution, alpha)
+    residual, defect = flux_defect_norms(field, solution, alpha, f)
+    totals = tuple(_total(c, residual, defect) for c in constants)
+    return ExperimentRow(level, mesh.num_triangles, totals)
+
+
 def run_refinement_experiment(levels, alpha, f, constants, sink=None):
     """Solve, average and certify on each L-shape level.
 
@@ -63,17 +76,7 @@ def run_refinement_experiment(levels, alpha, f, constants, sink=None):
     majorant norms are computed once per level and shared by all constants.
     """
     constants = [_positive(c) for c in constants]
-    rows = []
-    for level in levels:
-        mesh = build_lshape(level)
-        solution = solve_diffusion(mesh, alpha, f)
-        if sink is not None:
-            sink(level, solution)
-        field = rt_average(solution, alpha)
-        residual, defect = flux_defect_norms(field, solution, alpha, f)
-        totals = tuple(_total(c, residual, defect) for c in constants)
-        rows.append(ExperimentRow(level, mesh.num_triangles, totals))
-    return rows
+    return [_certify_level(level, alpha, f, constants, sink) for level in levels]
 
 
 # the printed 5-decimal constants the reference experiment uses

@@ -28,12 +28,16 @@ class MeshError(ValueError):
 class TriMesh:
     """Conforming triangulation with full edge and adjacency structure.
 
+    The index tables are int32, which holds every mesh up to ``MAX_LEVEL``
+    and halves their memory; numbers formed from two indices, such as the
+    edge codes, are formed in int64.
+
     Parameters
     ----------
     vertices : (nv, 2) float array
-    triangles : (nt, 3) int array, counterclockwise vertex triples
-    edges : (ne, 2) int array, vertex pairs with the lower index first
-    edge_tris : (ne, 2) int array, adjacent triangles (second entry -1 on
+    triangles : (nt, 3) int32 array, counterclockwise vertex triples
+    edges : (ne, 2) int32 array, vertex pairs with the lower index first
+    edge_tris : (ne, 2) int32 array, adjacent triangles (second entry -1 on
         boundary edges; first entry is always the lower triangle index)
     boundary_vertex : (nv,) bool array
     domain : 'square' or 'lshape'
@@ -41,10 +45,11 @@ class TriMesh:
     level : refinement index (equals n for square meshes)
 
     Derived arrays (filled by the builder): per-triangle areas and P1
-    basis gradients, per-edge lengths/normals, and the triangle-to-edge
+    basis gradients, per-edge lengths/normals, and the int32 triangle-to-edge
     incidence ``tri_edges`` ordered so that edge ``j`` is opposite local
     vertex ``j``, with ``tri_edge_signs`` +1 where the stored edge normal
-    points out of the triangle.
+    points out of the triangle.  The signs stay float64: they enter float
+    einsums, which run slower on mixed dtypes.
     """
 
     vertices: np.ndarray
@@ -88,7 +93,10 @@ def _edge_codes(triangles, nv):
     ``lo * nv + hi`` of its sorted vertex pair; sorting the codes sorts the
     pairs lexicographically."""
     local = triangles[:, [[1, 2], [2, 0], [0, 1]]]
-    return local.min(axis=2) * nv + local.max(axis=2)
+    codes = local.min(axis=2).astype(np.int64)  # nv**2 passes 2**31 from level 4
+    codes *= nv
+    codes += local.max(axis=2)
+    return codes
 
 
 def _finalize(vertices, triangles, domain, n, level):
@@ -96,29 +104,30 @@ def _finalize(vertices, triangles, domain, n, level):
     order alone fixes the stored normals.  The geometry uses two (t, 3) arrays of
     corner x and y: (t, 3, 2) corner rows and their strided parts take twice the time."""
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    triangles = np.asarray(triangles, dtype=np.int32)
     nv = len(vertices)
     nt = len(triangles)
 
-    keys = _edge_codes(triangles, nv).ravel()
     codes, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
+        _edge_codes(triangles, nv).ravel(), return_index=True, return_inverse=True, return_counts=True
     )
+    inverse = inverse.astype(np.int32).reshape(nt, 3)
     if counts.max() > 2:
         raise MeshError("edge shared by more than two triangles")
-    edges = np.column_stack((codes // nv, codes % nv))
+    edges = np.empty((len(codes), 2), dtype=np.int32)
+    np.divmod(codes, nv, out=(edges[:, 0], edges[:, 1]))
     # flat index k is local edge k % 3 of triangle k // 3, so any occurrence
     # after an edge's first lies in its higher triangle
-    later = first[inverse] != np.arange(3 * nt)
+    later = first[inverse.ravel()] != np.arange(3 * nt)
     lower, local = np.divmod(first, 3)
-    edge_tris = np.column_stack((lower, np.full(len(codes), -1)))
-    edge_tris[inverse[later], 1] = np.flatnonzero(later) // 3
+    edge_tris = np.full((len(codes), 2), -1, dtype=np.int32)
+    edge_tris[:, 0] = lower
+    edge_tris[inverse.ravel()[later], 1] = np.flatnonzero(later) // 3
     signs = np.where(later, -1.0, 1.0).reshape(nt, 3)
     # the lower triangle runs its edge j counterclockwise from corner j + 1,
     # so the lo -> hi normal points out of it unless that corner is hi
     flip = triangles.ravel()[3 * lower + (local + 1) % 3] == edges[:, 1]
-    inverse = inverse.reshape(nt, 3)
-    del keys, codes, first, later, lower, local
+    del codes, first, later, lower, local
 
     vx, vy = vertices[:, 0], vertices[:, 1]
     x, y = vx[triangles], vy[triangles]
@@ -169,8 +178,8 @@ def _build_grid(n, keep, domain, level):
     # a vertex is used when any of the (up to) four cells around it is kept
     pad = np.pad(cells, 1)
     used = pad[1:, 1:] | pad[1:, :-1] | pad[:-1, 1:] | pad[:-1, :-1]
-    index = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    index[used] = np.arange(np.count_nonzero(used))
+    index = np.full((n + 1, n + 1), -1, dtype=np.int32)
+    index[used] = np.arange(np.count_nonzero(used), dtype=np.int32)
     vj, vi = np.nonzero(used)
     vertices = np.column_stack((vi / n, vj / n))
     cj, ci = np.nonzero(cells)

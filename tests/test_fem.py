@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 from fria.fem import (
     P1Solution,
     SolverError,
+    assemble_mass,
     assemble_stiffness,
     conjugate_gradients,
     energy_norm,
@@ -26,7 +27,8 @@ from fria.fem import (
 from fria.friedrichs import best_bound
 from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
-from reference_quadrature import rolled_square
+from reference_assembly import mass_by_triplets, stiffness_by_triplets
+from reference_quadrature import rolled_square, tiny_triangle_soup
 
 IDENT = DiagonalWeight((1.0, 1.0))
 ANISO = DiagonalWeight((1.0, 1e-4))
@@ -36,6 +38,25 @@ FULL = FullWeight(((2.0, 0.5), (0.5, 1.0)))
 ROTATED = FullWeight(((0.50005, 0.49995), (0.49995, 0.50005)))
 # a weight whose optimized stiffness contraction rounds differently
 SKEWED = FullWeight(((3.0, -1.2), (-1.2, 0.7)))
+
+# meshes on which the edge-table assembly must equal the triplet scatter
+ASSEMBLY_MESHES = {
+    "lshape0": lambda c: c("lshape", 0),
+    "lshape1": lambda c: c("lshape", 1),
+    "lshape2": lambda c: c("lshape", 2),
+    "lshape3": lambda c: c("lshape", 3),
+    "square1": lambda c: c("square", 1),
+    "square3": lambda c: c("square", 3),
+    "square8": lambda c: c("square", 8),
+    "rolled8-1": lambda c: rolled_square(8, 1),
+    "rolled8-2": lambda c: rolled_square(8, 2),
+    "soup1e-7": lambda c: tiny_triangle_soup(),
+}
+# The triplet scatter adds a vertex's diagonal terms in the order scipy's
+# unstable in-row sort leaves them, the edge table in triangle order.  The
+# orders give the same bits on the L-shapes and the power-of-two squares
+# the commands build, but not on these meshes, where they differ in the last bit.
+ORDER_SENSITIVE = {"square3", "rolled8-1"}
 
 # n -> infinity energy of -div grad u = 1 on the unit square, computed on
 # the n=256 mesh (the independent Fourier series gives 0.18746801)
@@ -154,6 +175,31 @@ class TestAssembly:
                     scale[tri[i], tri[j]] += abs(value)
         got = assemble_stiffness(m, alpha).toarray()
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize(
+        "alpha", [ANISO, ANISO_Y, FULL, ROTATED, SKEWED],
+        ids=["aniso", "aniso_y", "full", "rotated", "skewed"],
+    )
+    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
+    def test_stiffness_bits_match_triplet_scatter(self, mesh_cache, mesh_name, alpha):
+        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
+        got, want = assemble_stiffness(m, alpha), stiffness_by_triplets(m, alpha)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        if mesh_name not in ORDER_SENSITIVE:
+            assert np.array_equal(got.data, want.data)
+            return
+        diagonal = got.indices == np.repeat(np.arange(m.num_vertices), np.diff(got.indptr))
+        assert np.array_equal(got.data[~diagonal], want.data[~diagonal])
+        ulps = np.abs(got.data - want.data) / np.spacing(np.abs(want.data))
+        assert ulps.max() <= 2.0
+
+    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
+    def test_mass_bits_match_triplet_scatter(self, mesh_cache, mesh_name):
+        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
+        got, want = assemble_mass(m), mass_by_triplets(m)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
     def test_reduced_system_exactly_symmetric(self, mesh_cache):
         m = mesh_cache("square", 8)

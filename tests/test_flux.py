@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ class TestDivergence:
 
 
 class TestNorms:
+    def test_bytes_per_triangle(self, mesh_cache):
+        # each (t, 3) temporary is dropped once read: the norms peak at 112
+        # bytes per triangle above the mesh, solution and flux (all kept: 208)
+        m = mesh_cache("lshape", 4)
+        s = interpolant(m, lambda x, y: x * y)
+        field = rt_average(s, ANISO)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            flux_defect_norms(field, s, ANISO, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        nt = m.num_triangles
+        assert peak / nt <= 150
+
     def test_exact_flux_gives_zero(self, mesh_cache):
         m = mesh_cache("square", 4)
         alpha = FullWeight(((2.0, 1.0), (1.0, 3.0)))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ class TestExperiment:
             run_refinement_experiment([0], ANISO, 1.0, [0.31829, 0.0])
         with pytest.raises(ValueError, match="finite"):
             run_refinement_experiment([0], ANISO, 1.0, [math.nan])
+
+    def test_previous_level_freed_before_next_build(self, monkeypatch):
+        # reference counting alone frees each level: no cycle waits for the collector
+        built, alive_at_build = [], []
+
+        def build(level):
+            alive_at_build.append([ref() is not None for ref in built])
+            mesh = build_lshape(level)
+            built.append(weakref.ref(mesh))
+            return mesh
+
+        monkeypatch.setattr(majorant, "build_lshape", build)
+        run_refinement_experiment([0, 1, 2], ANISO, 1.0, [0.31829])
+        assert alive_at_build == [[], [False], [False, False]]
 
     def test_determinism(self):
         a = run_refinement_experiment([0], ANISO, 1.0, [0.31829])

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fria.fem import assemble_mass, assemble_stiffness
+from fria.fem import assemble_mass, assemble_stiffness, dirichlet_stiffness
 from fria.mesh import (
     MeshError,
     build_lshape,
@@ -90,6 +91,30 @@ class TestLShape:
             build_lshape(-1)
 
 
+class TestMemory:
+    """Bytes per triangle of the level-4 L-shape, counted by tracemalloc."""
+
+    def test_mesh_and_stiffness_bytes_per_triangle(self):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            m = build_lshape(4)
+            resident, build_peak = (b - start for b in tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            dirichlet_stiffness(m, DiagonalWeight((1.0, 1e-4)))
+            assembly_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        nt = m.num_triangles
+        # int32 index tables and float64 signs hold 173 (int64 tables: 221)
+        assert resident / nt <= 180
+        # the edge sort and the geometry peak at 263 in all (int64 tables: 322)
+        assert build_peak / nt <= 322
+        # the edge-table assembly peaks at 151 (the 9-triplet scatter: 308)
+        assert assembly_peak / nt <= 250
+
+
 class TestUnitSquare:
     def test_single_cell(self):
         m = build_unit_square(1)
@@ -119,6 +144,15 @@ class TestValidate:
     def test_clean_meshes(self, mesh_cache):
         assert validate(mesh_cache("lshape", 0)) == []
         assert validate(mesh_cache("square", 8)) == []
+
+    def test_edge_codes_beyond_int32(self, mesh_cache):
+        # from level 4 on nv**2 exceeds 2**31: the int32 triangles must form
+        # the edge codes lo * nv + hi in int64
+        m = mesh_cache("lshape", 4)
+        assert m.triangles.dtype == np.int32
+        assert m.num_vertices**2 > 2**31
+        assert validate(m) == []
+        assert m.num_vertices - m.num_edges + m.num_triangles == 1
 
     def test_flipped_triangle_detected(self, mesh_cache):
         m = mesh_cache("lshape", 0)

@@ -8,8 +8,9 @@ keeps the last line of each run, the JSON result.  One more run of
 of every level and every per-layer time (the metrics named ``*_s``), and one
 of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
 ``count oracle.outer_iters.delta*`` lines).  Then ``python -m fria.cli
-experiment table2 --levels 5`` and ``--levels 6`` and ``oracle cfa --n 128``
-run each in a child process of its own, with ``PYTHONPATH=src``; the file
+experiment table2 --levels 5``, ``--levels 6`` and ``--levels 7`` (6.29M
+triangles, about 2.6 GB) and ``oracle cfa --n 128`` run each in a child
+process of its own, with ``PYTHONPATH=src``; the file
 keeps the wall time of each and that child's peak RSS, read from
 ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark runs).  The
 file also records the Python, numpy and scipy versions, the CPUs the
@@ -72,7 +73,7 @@ def main():
     iterations = {k[len(prefix) - 1:]: v["value"] for k, v in traced.items() if k.startswith(prefix)}
     cli_runs = {
         f"table2 --levels {level}": _cli_run("experiment", "table2", "--levels", str(level))
-        for level in (5, 6)
+        for level in (5, 6, 7)
     }
     cli_runs["oracle cfa --n 128"] = _cli_run("oracle", "cfa", "--n", "128")
     sha = _stdout("git", "rev-parse", "HEAD").strip()
