@@ -53,11 +53,9 @@ def _scatter(mesh, diagonal, edge_share):
     A P1 matrix is nonzero only on the diagonal and on the edges, so the COO
     holds nv + 2 ne entries: each vertex's diagonal summed over ``triangles``,
     and each edge's entry summed over ``tri_edges``, stored once per edge and
-    mirrored through ``edges``.  ``np.bincount`` adds a vertex's terms in
-    triangle order.  The 9 nt local-matrix triplets this replaces were added
-    in the order of scipy's in-row sort, which gives the same bits on the
-    L-shapes and the power-of-two squares.  The indices are int32, as scipy
-    stores the CSR indices of fewer than 2**31 vertices."""
+    mirrored through ``edges``; ``np.bincount`` adds in triangle order.  The
+    indices are int32, as scipy stores the CSR indices of fewer than 2**31
+    vertices."""
     nv = mesh.num_vertices
     own = np.arange(nv, dtype=np.int32)
     lo, hi = mesh.edges.T

@@ -125,7 +125,7 @@ class TestDivergence:
 class TestNorms:
     def test_bytes_per_triangle(self, mesh_cache):
         # each (t, 3) temporary is dropped once read: the norms peak at 112
-        # bytes per triangle above the mesh, solution and flux (all kept: 208)
+        # bytes per triangle above the mesh, solution and flux (keeping all: 208)
         m = mesh_cache("lshape", 4)
         s = interpolant(m, lambda x, y: x * y)
         field = rt_average(s, ANISO)

@@ -9,7 +9,7 @@ of every level and every per-layer time (the metrics named ``*_s``), and one
 of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
 ``count oracle.outer_iters.delta*`` lines).  Then ``python -m fria.cli
 experiment table2 --levels 5``, ``--levels 6`` and ``--levels 7`` (6.29M
-triangles, about 2.6 GB) and ``oracle cfa --n 128`` run each in a child
+triangles, about 2.1 GB at peak) and ``oracle cfa --n 128`` run each in a child
 process of its own, with ``PYTHONPATH=src``; the file
 keeps the wall time of each and that child's peak RSS, read from
 ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark runs).  The
