@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import build_lshape, build_unit_square, prolongation
 from .weights import FullWeight, largest_eigenvalue
@@ -43,7 +42,7 @@ class P1Solution:
 
     @cached_property
     def gradients(self):
-        return np.einsum("tj,tjx->tx", self.values[self.mesh.triangles], self.mesh.grads)
+        return np.einsum("tj,tjx->tx", np.take(self.values, self.mesh.triangles), self.mesh.grads)
 
 
 def _scatter(mesh, diagonal, edge_share):
@@ -56,6 +55,8 @@ def _scatter(mesh, diagonal, edge_share):
     mirrored through ``edges``; ``np.bincount`` adds in triangle order.  The
     indices are int32, as scipy stores the CSR indices of fewer than 2**31
     vertices."""
+    import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
+
     nv = mesh.num_vertices
     own = np.arange(nv, dtype=np.int32)
     lo, hi = mesh.edges.T

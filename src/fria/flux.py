@@ -29,7 +29,8 @@ def rt_average(solution, alpha):
     a = np.asarray(alpha.matrix, dtype=float)
     flux = solution.gradients @ a.T
     adj = mesh.edge_tris
-    qn = np.einsum("ekx,ex->ek", flux[adj], mesh.edge_normals)
+    # a boundary edge's missing neighbour -1 gathers the last row, which np.where drops
+    qn =np.einsum("ekx,ex->ek", np.take(flux, adj, axis=0), mesh.edge_normals)
     interior = adj[:, 1] >= 0
     mean = np.where(interior, 0.5 * (qn[:, 0] + qn[:, 1]), qn[:, 0])
     return RT0Field(mesh, mesh.edge_lengths * mean)
@@ -38,7 +39,7 @@ def rt_average(solution, alpha):
 def rt_divergence(field):
     """Per-triangle divergence: outward-signed edge dofs over the area."""
     mesh = field.mesh
-    signed = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs
+    signed = np.take(field.dofs, mesh.tri_edges) * mesh.tri_edge_signs
     return signed.sum(axis=1) / mesh.areas
 
 
@@ -74,10 +75,10 @@ def defect_norm(field, solution, alpha):
     # e_j by components, the centroid summed in mean(axis=1)'s order; each
     # (t, 3) corner gather and each product below is dropped once read, which
     # keeps this step below the solve's peak memory
-    corners = (mesh.vertices[:, k][mesh.triangles] for k in (0, 1))
+    corners = (np.take(mesh.vertices[:, k], mesh.triangles) for k in (0, 1))
     ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in corners)
     # coefficient of (x - p_j) for the vertex p_j opposite edge j
-    coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
+    coeff = np.take(field.dofs, mesh.tri_edges) * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
     flux = solution.gradients @ a.T
     dx, dy = (-np.einsum("tj,tj->t", coeff, e) - q for e, q in zip((ex, ey), flux.T))
     half_div = coeff.sum(axis=1)

@@ -43,7 +43,7 @@ def _edge_means(mesh, waves, trig):
     k.x is affine along an edge, so the mean of cos or sin of it is the
     value at the midpoint times sinc of half the increment.
     """
-    ends = mesh.vertices[mesh.edges]
+    ends = np.take(mesh.vertices, mesh.edges, axis=0)
     mid = (0.5 * (ends[:, 0] + ends[:, 1])) @ waves
     step = (ends[:, 1] - ends[:, 0]) @ waves
     return trig(np.pi * mid) * np.sinc(0.5 * step)
@@ -60,7 +60,7 @@ def grad_u_integrals(mesh):
     cosines = _edge_means(mesh, np.array([[1.0, 1.0], [-1.0, 1.0]]), np.cos)
     along = 0.5 * mesh.edge_lengths * (cosines[:, 0] - cosines[:, 1])
     flux = along[:, None] * mesh.edge_normals
-    return np.einsum("te,tex->tx", mesh.tri_edge_signs, flux[mesh.tri_edges])
+    return np.einsum("te,tex->tx", mesh.tri_edge_signs, np.take(flux, mesh.tri_edges, axis=0))
 
 
 def source_moments(mesh):
@@ -76,7 +76,7 @@ def source_moments(mesh):
     waves = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 0.0], [-1.0, 1.0, -2.0, 2.0, 0.0, 2.0]])
     along = mesh.edge_lengths[:, None] * _edge_means(mesh, waves, np.sin)
     per_edge = along * (mesh.edge_normals @ waves) / (np.pi * np.sum(waves * waves, axis=0))
-    cosines = np.einsum("te,tek->tk", mesh.tri_edge_signs, per_edge[mesh.tri_edges])
+    cosines = np.einsum("te,tek->tk", mesh.tri_edge_signs, np.take(per_edge, mesh.tri_edges, axis=0))
     integral = np.pi**2 * (cosines[:, 0] - cosines[:, 1])
     square = np.pi**4 * (
         mesh.areas + 0.5 * (cosines[:, 2] + cosines[:, 3]) - cosines[:, 4] - cosines[:, 5]

@@ -15,7 +15,6 @@ all signs of the lowest-order Raviart-Thomas degrees of freedom.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 MAX_LEVEL = 8
 
@@ -130,7 +129,7 @@ def _finalize(vertices, triangles, domain, n, level):
     del codes, first, later, lower, local
 
     vx, vy = vertices[:, 0], vertices[:, 1]
-    x, y = vx[triangles], vy[triangles]
+    x, y = np.take(vx, triangles), np.take(vy, triangles)
     twice_area = _twice_signed_areas(x, y)
     # grad of basis j: the edge from corner j+1 to corner j+2 turned a
     # quarter counterclockwise, over twice the signed area
@@ -141,7 +140,7 @@ def _finalize(vertices, triangles, domain, n, level):
     grads /= twice_area[:, None, None]
     del x, y
 
-    tx, ty = (v[edges[:, 1]] - v[edges[:, 0]] for v in (vx, vy))
+    tx, ty = (np.take(v, edges[:, 1]) - np.take(v, edges[:, 0]) for v in (vx, vy))
     edge_lengths = np.hypot(tx, ty)
     normals = np.stack((ty / edge_lengths, -tx / edge_lengths), axis=1)
     normals[flip] *= -1.0
@@ -217,6 +216,8 @@ def prolongation(coarse, fine):
     with lattice corners ``p_k`` holds the fine lattice points
     ``sum_k (b_k / r) p_k``, ``b_k >= 0``, ``sum_k b_k = r``; each fine
     vertex takes the weights ``b / r`` of the first triangle holding it."""
+    import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
+
     if fine.domain != coarse.domain:
         raise MeshError("meshes triangulate different domains")
     r = fine.n // coarse.n
@@ -226,7 +227,7 @@ def prolongation(coarse, fine):
     # the vertex (i, j) / fine.n has the key i + j * (fine.n + 1)
     key = (fine.n, fine.n * (fine.n + 1))
     vertex_keys = np.rint(fine.vertices @ key).astype(np.int64)
-    corner_keys = np.rint(coarse.vertices @ key).astype(np.int64)[coarse.triangles]
+    corner_keys = np.take(np.rint(coarse.vertices @ key).astype(np.int64), coarse.triangles)
     lo, hi = np.triu_indices(r + 1)
     b = np.column_stack((lo, hi - lo, r - hi))
     found, first = np.unique(corner_keys @ b.T // r, return_index=True)
@@ -242,7 +243,7 @@ def prolongation(coarse, fine):
 
 def validate(m):
     """Check all mesh invariants; returns a list of violation messages."""
-    signed = 0.5 * _twice_signed_areas(*(m.vertices[:, k][m.triangles] for k in (0, 1)))
+    signed = 0.5 * _twice_signed_areas(*(np.take(m.vertices[:, k], m.triangles) for k in (0, 1)))
     problems = [
         f"triangle {t} has nonpositive signed area {signed[t]}"
         for t in np.flatnonzero(signed <= 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -25,6 +26,7 @@ from fria.fem import (
     solve_diffusion,
 )
 from fria.friedrichs import best_bound
+import fria
 from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
 from reference_assembly import mass_by_triplets, stiffness_by_triplets
@@ -359,12 +361,59 @@ class TestLinePreconditioner:
             "fria.estimate_cfa(fria.build_lshape(1), fria.DiagonalWeight((1.0, 1e-4)))\n"
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n"
         )
-        src = str(Path(fem.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        assert _fresh_python(code) == "[]\n"
+
+
+def _fresh_python(code):
+    """stdout of ``code`` run by a new interpreter with ``PYTHONPATH=src``."""
+    src = str(Path(fem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return out.stdout
+
+
+class TestColdStart:
+    def test_closed_form_verbs_load_no_scipy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import fria, fria.cli\n"
+            "verbs = [\n"
+            "    'bounds friedrichs --lengths 1,1 --weight diag:1,1e-4',\n"
+            "    'bounds friedrichs --lengths 1,2 --weight full:2,0.5,1',\n"
+            "    'bounds maxwell --lengths 1,1,1',\n"
+            "    'table 1',\n"
+            "    'table 3',\n"
+            "    'experiment table2 --levels 9',\n"
+            "]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = [fria.cli.main(v.split()) for v in verbs]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "fria.solve_diffusion(fria.build_lshape(0), fria.DiagonalWeight((1.0, 1e-4)), 1.0)\n"
+            "print('scipy.sparse' in sys.modules)\n"
         )
-        assert out.stdout == "[]\n"
+        assert _fresh_python(code) == "[0, 0, 0, 0, 0, 1] []\nTrue\n"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "fria.prolongation(fria.build_unit_square(2), fria.build_unit_square(4))",
+            "fria.fem.assemble_mass(fria.build_unit_square(2))",
+        ],
+        ids=["prolongation", "assemble_mass"],
+    )
+    def test_sparse_constructor_works_first(self, call):
+        code = (
+            "import json, sys\n"
+            "import fria\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"m = {call}\n"
+            "print(json.dumps([m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.tolist()]))\n"
+        )
+        shape, indptr, indices, data = json.loads(_fresh_python(code))
+        want = eval(call, {"fria": fria})
+        assert tuple(shape) == want.shape
+        assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
+        assert np.array_equal(data, want.data)
 
 
 class TestMultigrid:
