@@ -10,11 +10,10 @@ oracle takes the same system with a V-cycle that smooths by that relaxation.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .mesh import build_lshape, build_unit_square, prolongation
 from .weights import FullWeight, largest_eigenvalue
 
 # relative residual of the Galerkin solves
@@ -149,63 +148,65 @@ def line_preconditioner(a, mesh, alpha):
         np.multiply(grid, inv_piv, out=grid)
         for row, near, l in backward:
             row -= l * near
-        return flat[slot]
+        return np.take(flat, slot)
 
     return apply
 
 
-def _coarser(mesh):
-    """The mesh that ``mesh`` refines once (the L-shape one level down, or the
-    square of n / 2 cells), or None when it has none."""
-    if mesh.domain == "lshape" and mesh.level > 0:
-        return build_lshape(mesh.level - 1)
-    if mesh.domain == "square" and mesh.n % 2 == 0:
-        return build_unit_square(mesh.n // 2)
-    return None
+def _levels(mesh, alpha):
+    """``(s, levels)``: the V-cycle's levels from ``mesh`` down, each
+    ``(k, smooth, p, r)``.  k and smooth are ``dirichlet_stiffness`` of the
+    level's mesh, so all levels share the scale s; p and r are the interior
+    prolongation from the next level and its transpose, read from
+    ``TriMesh.coarser``, and None on the last level.  Coarsening stops at
+    ``_COARSEST`` unknowns or at a mesh with no coarser one.  Below the first
+    level, a last level of at most ``_COARSEST`` unknowns is solved by a dense
+    Cholesky factor in place of its line apply."""
+    s, k, smooth = dirichlet_stiffness(mesh, alpha)
+    levels = []
+    fine = mesh
+    while k.shape[0] > _COARSEST and (link := fine.coarser) is not None:
+        fine, p, r = link
+        levels.append((k, smooth, p, r))
+        _, k, smooth = dirichlet_stiffness(fine, alpha)
+    if levels and k.shape[0] <= _COARSEST:
+        try:
+            root = np.linalg.inv(np.linalg.cholesky(k.toarray()))
+        except np.linalg.LinAlgError:
+            raise SolverError("stiffness is not positive definite") from None
+        smooth = (root.T @ root).dot  # the inverse of k
+    levels.append((k, smooth, None, None))
+    return s, levels
+
+
+def _cycle(levels, r):
+    """One symmetric V(1,1) cycle on the residual r: every level but the last
+    is smoothed by its apply damped by ``_OMEGA`` before and after the
+    correction from the next level, to which residuals move by its r; the last
+    level's apply solves.  The cycle is one loop over a list: a closure calling
+    itself would keep the levels in a reference cycle until the cyclic
+    collector ran."""
+    *upper, (_, solve, _, _) = levels
+    down = []
+    for k, smooth, _, restrict in upper:
+        x = _OMEGA * smooth(r)
+        down.append((r, x))
+        r = restrict @ (r - k @ x)
+    x = solve(r)
+    for (k, smooth, p, _), (r, before) in zip(upper[::-1], down[::-1]):
+        x = before + p @ x
+        x += _OMEGA * smooth(r - k @ x)
+    return x
 
 
 def multigrid_stiffness(mesh, alpha):
-    """``dirichlet_stiffness`` with a symmetric V(1,1) cycle as ``precondition``.
-
-    Each level is ``dirichlet_stiffness`` of a coarser mesh, so all share the
-    scale s; it is smoothed by its line apply damped by ``_OMEGA`` before and
-    after the correction from the next level, to which residuals move by the
-    transposed interior ``prolongation``.  Coarsening stops at ``_COARSEST``
-    unknowns or at a mesh with no coarser one; that last level is solved by a
-    dense Cholesky factor, or by its line apply when larger.  With no coarser
-    level the apply is the line apply itself.  The levels live in a list read
-    by one loop: a closure calling itself would keep the hierarchy in a
-    reference cycle until the cyclic collector ran."""
-    s, k, line = dirichlet_stiffness(mesh, alpha)
-    levels = []  # (stiffness, smoother, prolongation from the next level)
-    fine, a, smooth = mesh, k, line
-    while a.shape[0] > _COARSEST and (coarse := _coarser(fine)) is not None:
-        p = prolongation(coarse, fine)[fine.interior_vertices][:, coarse.interior_vertices]
-        levels.append((a, smooth, p))
-        fine, (_, a, smooth) = coarse, dirichlet_stiffness(coarse, alpha)
-    if not levels:
-        return s, k, line
-    solve = smooth
-    if a.shape[0] <= _COARSEST:
-        try:
-            root = np.linalg.inv(np.linalg.cholesky(a.toarray()))
-        except np.linalg.LinAlgError:
-            raise SolverError("stiffness is not positive definite") from None
-        solve = (root.T @ root).dot  # the inverse of a
-
-    def apply(r):
-        down = []
-        for a, smooth, p in levels:
-            x = _OMEGA * smooth(r)
-            down.append((r, x))
-            r = p.T @ (r - a @ x)
-        x = solve(r)
-        for (a, smooth, p), (r, before) in zip(levels[::-1], down[::-1]):
-            x = before + p @ x
-            x += _OMEGA * smooth(r - a @ x)
-        return x
-
-    return s, k, apply
+    """``dirichlet_stiffness`` with a symmetric V(1,1) cycle over ``_levels``
+    as ``precondition``; with no coarser level, the line apply itself.  Only
+    the weight-dependent part is built here: the meshes and transfers come
+    from the chain of ``TriMesh.coarser``, built once per mesh."""
+    s, levels = _levels(mesh, alpha)
+    k, line = levels[0][:2]
+    return s, k, line if len(levels) == 1 else partial(_cycle, levels)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -13,6 +13,7 @@ all signs of the lowest-order Raviart-Thomas degrees of freedom.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,23 @@ class TriMesh:
     @property
     def interior_vertices(self):
         return np.flatnonzero(~self.boundary_vertex)
+
+    @cached_property
+    def coarser(self):
+        """``(coarse, p, r)``: the mesh this one refines once (the L-shape one
+        level down, or the square of n / 2 cells), ``prolongation(coarse,
+        self)`` restricted to the interior rows and columns, and its transpose
+        stored as CSR; None when there is none.  None of it depends on a
+        weight, so it is built on first read and lives as long as this mesh;
+        each coarse mesh holds its own ``coarser``, and none refers back."""
+        if self.domain == "lshape" and self.level > 0:
+            coarse = build_lshape(self.level - 1)
+        elif self.domain == "square" and self.n % 2 == 0:
+            coarse = build_unit_square(self.n // 2)
+        else:
+            return None
+        p = prolongation(coarse, self)[self.interior_vertices][:, coarse.interior_vertices]
+        return coarse, p, p.T.tocsr()
 
 
 def _twice_signed_areas(x, y):

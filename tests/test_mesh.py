@@ -333,6 +333,31 @@ class TestProlongation:
             prolongation(mesh_cache(dc, kc), mesh_cache(df, kf))
 
 
+class TestCoarser:
+    @pytest.mark.parametrize(
+        "domain,k,down", [("lshape", 1, 0), ("lshape", 3, 2), ("square", 8, 4), ("square", 64, 32)]
+    )
+    def test_one_level_down(self, mesh_cache, domain, k, down):
+        coarse = mesh_cache(domain, k).coarser[0]
+        assert mesh_digest(coarse) == mesh_digest(build(domain, down))
+
+    @pytest.mark.parametrize("domain,k", [("lshape", 0), ("square", 33), ("square", 1)])
+    def test_none_without_a_coarser_mesh(self, mesh_cache, domain, k):
+        assert mesh_cache(domain, k).coarser is None
+
+    @pytest.mark.parametrize("domain,k", [("lshape", 2), ("square", 16)])
+    def test_interior_transfers(self, mesh_cache, domain, k):
+        fine = mesh_cache(domain, k)
+        coarse, p, r = fine.coarser
+        want = prolongation(coarse, fine)[fine.interior_vertices][:, coarse.interior_vertices]
+        assert p.shape == (len(fine.interior_vertices), len(coarse.interior_vertices))
+        assert (p != want).nnz == 0
+        assert r.format == "csr" and (r != p.T).nnz == 0
+        rows = np.split(r.indices, r.indptr[1:-1])
+        assert all(np.all(np.diff(row) > 0) for row in rows)
+        assert fine.coarser is fine.coarser  # built once
+
+
 def build(domain, k):
     return build_lshape(k) if domain == "lshape" else build_unit_square(k)
 

@@ -1,17 +1,18 @@
 import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fria import fem, manufactured, oracle
+from fria import fem, manufactured, mesh, oracle
 from fria.fem import SolverError, assemble_mass, assemble_stiffness, reduce_system, solve_diffusion
 from fria.flux import rt_average
 from fria.friedrichs import coarse_bound, diagonal_bound, full_bound
 from fria.majorant import evaluate_majorant
-from fria.mesh import prolongation
+from fria.mesh import build_lshape, build_unit_square, prolongation
 from fria.oracle import estimate_cfa, reference_energy_error
 from fria.weights import DiagonalWeight, DInterval, FullWeight
 from reference_quadrature import rolled_square
@@ -108,15 +109,48 @@ class TestEigenEstimate:
         line = estimate_cfa(m, w)
         assert est == line
 
-    def test_hierarchy_freed_without_the_cycle_collector(self, mesh_cache):
-        m = mesh_cache("square", 32)
+    def test_hierarchy_freed_without_the_cycle_collector(self):
+        m = build_unit_square(64)  # not from the shared cache, which keeps its meshes
         gc.collect()
         gc.disable()
         try:
             estimate_cfa(m, DiagonalWeight((1.0, 1e-2)))
             assert gc.collect() == 0
+            coarse = [weakref.ref(m.coarser[0]), weakref.ref(m.coarser[0].coarser[0])]
+            del m
+            assert [ref() for ref in coarse] == [None, None]
         finally:
             gc.enable()
+
+    def test_one_chain_per_mesh(self, monkeypatch):
+        m = build_unit_square(64)
+        built, build_grid = [], mesh._build_grid
+
+        def counted(n, *args):
+            built.append(n)
+            return build_grid(n, *args)
+
+        monkeypatch.setattr(mesh, "_build_grid", counted)
+        for delta in (1e-2, 1.0, 1e2):
+            estimate_cfa(m, DiagonalWeight((1.0, delta)))
+        assert built == [32, 16]
+
+    def test_no_weight_state_in_the_chain(self):
+        weights = [
+            DiagonalWeight((1.0, 1e-2)),
+            FullWeight(((2.0, 0.5), (0.5, 1.0))),
+            DiagonalWeight((1.0, 1e2)),
+        ]
+
+        def bits(estimates):
+            return [(e.lambda_min.hex(), e.iterations, e.residual.hex()) for e in estimates]
+
+        shared = build_lshape(2)
+        forward = bits(estimate_cfa(shared, w) for w in weights)
+        shared = build_lshape(2)
+        backward = bits(estimate_cfa(shared, w) for w in weights[::-1])[::-1]
+        fresh = bits(estimate_cfa(build_lshape(2), w) for w in weights)
+        assert forward == backward == fresh
 
     def test_exhausted_budget_raises(self, mesh_cache, monkeypatch):
         monkeypatch.setattr(oracle, "_STEPS_PER_UNKNOWN", 0)

@@ -9,14 +9,16 @@ of every level and every per-layer time (the metrics named ``*_s``), and one
 of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
 ``count oracle.outer_iters.delta*`` lines).  Then ``python -m fria.cli
 experiment table2 --levels 5``, ``--levels 6`` and ``--levels 7`` (6.29M
-triangles, about 2.1 GB at peak) and ``oracle cfa --n 128`` run each in a child
-process of its own, with ``PYTHONPATH=src``; the file
-keeps the wall time of each and that child's peak RSS, read from
-``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark runs).  The cold
-starts ``bounds friedrichs --lengths 1,1 --weight diag:1,1e-4`` and ``table 1``
-take about 0.1 s, mostly interpreter and import time, so each keeps the
-fastest of 5 child runs, with that run's peak RSS.  The
-file also records the Python, numpy and scipy versions, the CPUs the
+triangles, about 2.1 GB at peak) run each in a child process of its own,
+with ``PYTHONPATH=src``; the file keeps the wall time of each and that
+child's peak RSS, read from ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in
+the benchmark runs).  The short runs, children the same way, take 0.1 to
+0.35 s, so a single run varies by a few percent; each keeps the fastest of 5
+child runs, with that run's peak RSS: ``oracle cfa --n 128`` and ``oracle cfa
+--domain lshape --level 4`` (one oracle call each, so each coarse mesh is
+built once at any commit), and the cold starts ``bounds friedrichs --lengths
+1,1 --weight diag:1,1e-4`` and ``table 1``, mostly interpreter and import
+time.  The file also records the Python, numpy and scipy versions, the CPUs the
 process may use, the commit, whether tracked files differ from it, and
 ``src_lines``, the total line count of ``src/fria/*.py``.
 """
@@ -83,8 +85,12 @@ def main():
         f"table2 --levels {level}": _cli_run("experiment", "table2", "--levels", str(level))
         for level in (5, 6, 7)
     }
-    cli_runs["oracle cfa --n 128"] = _cli_run("oracle", "cfa", "--n", "128")
-    for verb in ("bounds friedrichs --lengths 1,1 --weight diag:1,1e-4", "table 1"):
+    for verb in (
+        "oracle cfa --n 128",
+        "oracle cfa --domain lshape --level 4",
+        "bounds friedrichs --lengths 1,1 --weight diag:1,1e-4",
+        "table 1",
+    ):
         cli_runs[verb] = _cli_run(*verb.split(), runs=5)
     sha = _stdout("git", "rev-parse", "HEAD").strip()
     record = {
