@@ -20,14 +20,7 @@ from .mesh import MAX_LEVEL, MeshError, build_lshape, build_unit_square
 from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 
 # --method name -> Friedrichs formula (the Maxwell arm too); also the argparse choices
-_FRIEDRICHS_FORMULAS = {
-    "auto": friedrichs.best_bound,
-    "mikhlin": lambda box, w: friedrichs.mikhlin_bound(box),
-    "coarse": friedrichs.coarse_bound,
-    "thmA": friedrichs.diagonal_bound,
-    "thmA2": friedrichs.full_bound,
-    "semidef": friedrichs.semidef_bound,
-}
+_FRIEDRICHS_FORMULAS = {"auto": friedrichs.best_bound, **friedrichs.FORMULAS}
 
 
 class UsageError(ValueError):

@@ -201,12 +201,11 @@ def _cycle(levels, r):
 
 def multigrid_stiffness(mesh, alpha):
     """``dirichlet_stiffness`` with a symmetric V(1,1) cycle over ``_levels``
-    as ``precondition``; with no coarser level, the line apply itself.  Only
-    the weight-dependent part is built here: the meshes and transfers come
-    from the chain of ``TriMesh.coarser``, built once per mesh."""
+    as ``precondition``; with no coarser level, a one-level cycle: the line
+    apply.  Only the weight-dependent part is built here: the meshes and
+    transfers come from the ``TriMesh.coarser`` chain, built once per mesh."""
     s, levels = _levels(mesh, alpha)
-    k, line = levels[0][:2]
-    return s, k, line if len(levels) == 1 else partial(_cycle, levels)
+    return s, levels[0][0], partial(_cycle, levels)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -19,10 +19,6 @@ from .weights import (
     tilde_reduction,
 )
 
-# in the order best_bound prefers at equal values
-METHODS = ("thmA", "thmA2", "semidef", "coarse", "mikhlin")
-
-
 class BoundUnavailable(ValueError):
     """The requested bound formula does not apply to the given weight."""
 
@@ -42,7 +38,7 @@ class BoundReport:
     seminorm: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in FORMULAS:
             raise ValueError(f"unknown method tag {self.method!r}")
         if not (math.isfinite(self.value) and self.value > 0.0):
             raise ValueError(f"bound value must be finite and positive, got {self.value}")
@@ -162,6 +158,17 @@ def sharp_bound(box, w):
     return _reduced_bound(box, w, "semidef")
 
 
+# tag -> formula(box, w), in the order best_bound prefers at equal values
+FORMULAS = {
+    "thmA": diagonal_bound,
+    "thmA2": full_bound,
+    "semidef": semidef_bound,
+    "coarse": coarse_bound,
+    "mikhlin": lambda box, w: mikhlin_bound(box),
+}
+METHODS = tuple(FORMULAS)
+
+
 def best_bound(box, w):
     """Smaller of the sharp and the coarse bound; ties follow ``METHODS``.
 
@@ -201,7 +208,4 @@ def table1_rows():
     anisotropy diag(1, delta) over the standard delta grid."""
     box = DInterval((1.0, 1.0))
     grid = [DiagonalWeight((1.0, delta)) for delta in TABLE1_DELTAS]
-    return [
-        (name, [formula(box, w).value for w in grid])
-        for name, formula in (("coarse", coarse_bound), ("thmA", diagonal_bound))
-    ]
+    return [(tag, [FORMULAS[tag](box, w).value for w in grid]) for tag in ("coarse", "thmA")]

@@ -9,7 +9,7 @@ verified here.
 import math
 from dataclasses import dataclass
 
-from .friedrichs import BoundReport, coarse_bound, diagonal_bound, sharp_bound
+from .friedrichs import FORMULAS, BoundReport, coarse_bound, sharp_bound
 from .weights import (
     DiagonalWeight,
     DInterval,
@@ -121,6 +121,6 @@ def table3_rows():
     box = DInterval((1.0, 1.0, 1.0))
     inputs = [MaxwellInput(box, DiagonalWeight((1.0, 1.0, d))) for d in TABLE3_DELTAS]
     return [
-        (name, [maxwell_bound(inp, formula).value for inp in inputs])
-        for name, formula in (("coarse", coarse_bound), ("thmA", diagonal_bound))
+        (tag, [maxwell_bound(inp, FORMULAS[tag]).value for inp in inputs])
+        for tag in ("coarse", "thmA")
     ]

@@ -118,18 +118,16 @@ class FullWeight:
         1, 3 or 6 values for d = 1, 2, 3.
         """
         values = [float(v) for v in values]
-        if len(values) == 1:
-            (a,) = values
-            return cls(((a,),))
-        if len(values) == 3:
-            a, b, c = values
-            return cls(((a, b), (b, c)))
-        if len(values) == 6:
-            a11, a12, a13, a22, a23, a33 = values
-            return cls(((a11, a12, a13), (a12, a22, a23), (a13, a23, a33)))
-        raise WeightError(
-            f"upper triangle needs 1, 3 or 6 values (d = 1, 2, 3), got {len(values)}"
-        )
+        if len(values) not in (1, 3, 6):
+            raise WeightError(
+                f"upper triangle needs 1, 3 or 6 values (d = 1, 2, 3), got {len(values)}"
+            )
+        d = (1, 3, 6).index(len(values)) + 1
+        rows = [[0.0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = values.pop(0)
+        return cls(rows)
 
     @property
     def d(self):

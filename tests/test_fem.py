@@ -430,6 +430,23 @@ class TestMultigrid:
         assert x @ bx > 0.0 and y @ by > 0.0
         assert not np.allclose(bx, line(x))  # a V-cycle, not the line apply
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: c("lshape", 0),
+            lambda c: c("square", 8),
+            lambda c: rolled_square(8, 1),
+            lambda c: c("square", 33),
+        ],
+        ids=["L0", "n8", "rolled", "n33"],
+    )
+    def test_one_level_cycle_is_the_line_apply(self, mesh_cache, build):
+        m = build(mesh_cache)
+        apply = multigrid_stiffness(m, ANISO)[2]
+        line = fem.dirichlet_stiffness(m, ANISO)[2]
+        x = np.random.default_rng(7).standard_normal(len(m.interior_vertices))
+        assert np.array_equal(apply(x), line(x))
+
     def test_repeated_applies_agree(self, mesh_cache):
         m = mesh_cache("lshape", 2)
         apply = multigrid_stiffness(m, ANISO)[2]

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fria.cli import main
 from fria.friedrichs import (
+    FORMULAS,
+    METHODS,
     BoundReport,
     BoundUnavailable,
     best_bound,
@@ -125,6 +128,29 @@ class TestSemidef:
     def test_rejects_negative(self):
         with pytest.raises(BoundUnavailable):
             semidef_bound(UNIT_SQUARE, DiagonalWeight((-1.0, 1.0)))
+
+
+class TestFormulaTable:
+    @pytest.mark.parametrize(
+        "tag, w",
+        [
+            ("thmA", DiagonalWeight((2.0, 3.0))),
+            ("thmA2", FullWeight(((2.0, 0.5), (0.5, 1.0)))),
+            ("semidef", DiagonalWeight((0.0, 1.0))),
+            ("coarse", DiagonalWeight((2.0, 3.0))),
+            ("mikhlin", DiagonalWeight((2.0, 3.0))),
+        ],
+    )
+    def test_each_tag_reports_itself(self, tag, w):
+        assert FORMULAS[tag](UNIT_SQUARE, w).method == tag
+
+    def test_methods_are_the_table_tags(self):
+        assert METHODS == tuple(FORMULAS)
+
+    def test_cli_method_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bounds", "friedrichs", "--help"])
+        assert "--method {" + ",".join(("auto", *METHODS)) + "}" in capsys.readouterr().out
 
 
 class TestBestBound:

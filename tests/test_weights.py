@@ -203,6 +203,20 @@ class TestDominates:
         assert not dominates(w, t)
 
 
+class TestFromUpper:
+    @pytest.mark.parametrize("upper", [(4.0,), (5.0, 1.0, 2.0), (3.0, 1.0, -2.0, 300.0, 0.5, 3.0)])
+    def test_layout(self, upper):
+        rows = FullWeight.from_upper(upper).entries
+        d = len(rows)
+        assert all(rows[i][j] == rows[j][i] for i in range(d) for j in range(d))
+        assert tuple(rows[i][j] for i in range(d) for j in range(i, d)) == upper
+
+    @pytest.mark.parametrize("count", [0, 2, 4, 5, 7])
+    def test_wrong_count_refused(self, count):
+        with pytest.raises(WeightError, match="upper triangle needs 1, 3 or 6 values"):
+            FullWeight.from_upper([1.0] * count)
+
+
 class TestParseWeight:
     def test_diagonal(self):
         w = parse_weight("diag:1,1e-6")

@@ -19,10 +19,13 @@ child runs, with that run's peak RSS: ``oracle cfa --n 128`` and ``oracle cfa
 built once at any commit), and the cold starts ``bounds friedrichs --lengths
 1,1 --weight diag:1,1e-4`` and ``table 1``, mostly interpreter and import
 time.  The file also records the Python, numpy and scipy versions, the CPUs the
-process may use, the commit, whether tracked files differ from it, and
-``src_lines``, the total line count of ``src/fria/*.py``.
+process may use, the commit, whether tracked files differ from it,
+``src_lines``, the total line count of ``src/fria/*.py``, and
+``src_code_lines``, the lines of those files that are not blank, not ``#``
+comments and not inside a module, class or function docstring.
 """
 
+import ast
 import json
 import os
 import platform
@@ -56,6 +59,22 @@ def _oracle_steps():
     lines = _bench_lines("oracle_cfa", "--trace", "1", "--seconds", "1")
     pairs = (line[len(prefix):].split() for line in lines if line.startswith(prefix))
     return {delta: json.loads(steps) for delta, steps in pairs}
+
+
+def _code_lines(path):
+    """Lines of ``path`` that are neither blank, nor ``#`` comments, nor
+    inside a module, class or function docstring."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(
+        1
+        for number, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
+    )
 
 
 def _cli_run(*args, runs=1):
@@ -109,6 +128,7 @@ def main():
         "oracle_cfa_steps": _oracle_steps(),
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
+        "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
     }
     path = ROOT / f"BENCH_{sha[:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
