@@ -3,12 +3,15 @@
 The stiffness integrand is constant per triangle, so assembly is exact.
 Homogeneous Dirichlet conditions are imposed by eliminating boundary rows
 and columns, which keeps the reduced system exactly symmetric positive
-definite.  The solver is conjugate gradients with a line-relaxation
-preconditioner and a deterministic, fixed-order accumulation; the eigenvalue
-oracle takes the same system with a V-cycle that smooths by that relaxation.
+definite; it is assembled directly on the interior rows and columns, whose
+pattern (``Dirichlet``) no weight enters.  The solver is conjugate gradients
+with a line-relaxation preconditioner and a deterministic, fixed-order
+accumulation; the eigenvalue oracle takes the same system with a V-cycle
+that smooths by that relaxation.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -44,53 +47,118 @@ class P1Solution:
         return np.einsum("tj,tjx->tx", np.take(self.values, self.mesh.triangles), self.mesh.grads)
 
 
-def _scatter(mesh, diagonal, edge_share):
-    """The global CSR matrix from each triangle's (nt, 3) diagonal entries and
-    its (nt, 3) shares of its edges' entries, edge j opposite local vertex j.
+def _pattern(mesh, keep):
+    """``(indptr, indices, gather)``: the canonical CSR pattern of a P1 matrix
+    over the vertices with ``keep``, numbered in order, and for each entry the
+    index of its value in ``_sums``: the vertex's own sum on the diagonal,
+    edge e's at ``nv + e`` off it.
 
-    A P1 matrix is nonzero only on the diagonal and on the edges, so the COO
-    holds nv + 2 ne entries: each vertex's diagonal summed over ``triangles``,
-    and each edge's entry summed over ``tri_edges``, stored once per edge and
-    mirrored through ``edges``; ``np.bincount`` adds in triangle order.  The
-    indices are int32, as scipy stores the CSR indices of fewer than 2**31
+    A P1 matrix is nonzero only on the diagonal and on the edges, so row i
+    holds, by column, its lower neighbours, itself and its higher neighbours.
+    The edge table is sorted by its (lo, hi) pairs, so it lists the entries
+    right of the diagonal row by row; those left of it are their transpose,
+    which scipy's CSR to CSC conversion gives row by row in column order.
+    All arrays are int32, as scipy stores the CSR indices of fewer than 2**31
     vertices."""
     import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
 
     nv = mesh.num_vertices
-    own = np.arange(nv, dtype=np.int32)
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
+    n = int(renumber[-1]) + 1 if nv else 0
     lo, hi = mesh.edges.T
-    shared = np.bincount(mesh.tri_edges.ravel(), edge_share.ravel(), mesh.num_edges)
-    data = np.concatenate((np.bincount(mesh.triangles.ravel(), diagonal.ravel(), nv), shared, shared))
-    del shared
-    coo = sp.coo_matrix((data, (np.concatenate((own, lo, hi)), np.concatenate((own, hi, lo)))), (nv, nv))
-    return coo.tocsr()
+    kept = np.flatnonzero(np.take(keep, lo) & np.take(keep, hi)).astype(np.int32)
+    starts = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(np.take(renumber, np.take(lo, kept)), minlength=n), out=starts[1:])
+    right = sp.csr_matrix((kept + nv, np.take(renumber, np.take(hi, kept)), starts), shape=(n, n))
+    left = right.tocsc()
+    rows = np.arange(n + 1, dtype=np.int32)
+    indptr = left.indptr + right.indptr + rows
+    indices, gather = np.empty((2, indptr[-1]), dtype=np.int32)
+    diagonal = left.indptr[1:] + right.indptr[:-1] + rows[:-1]
+    indices[diagonal], gather[diagonal] = rows[:-1], np.flatnonzero(keep)
+    # row i of each part moves by what precedes it in row i of the whole
+    for part, shift in (
+        (left, right.indptr[:-1] + rows[:-1]),
+        (right, diagonal + 1 - right.indptr[:-1]),
+    ):
+        at = np.repeat(shift.astype(np.intp), np.diff(part.indptr)) + np.arange(part.nnz)
+        indices[at], gather[at] = part.indices, part.data
+    return indptr, indices, gather
 
 
-def assemble_stiffness(mesh, alpha):
-    """Full (Neumann) stiffness with entries int_T (alpha grad phi_j) . grad phi_i."""
+def _neumann(mesh):
+    """The pattern of the full (Neumann) matrix."""
+    return _pattern(mesh, np.ones(mesh.num_vertices, dtype=bool))
+
+
+def _stiffness_entries(mesh, alpha):
+    """Yields each triangle's (nt, 3) diagonal entries |T| (G alpha G^T)_jj,
+    then its (nt, 3) shares of its edges' entries, edge j opposite local
+    vertex j: the mean of |T| (G alpha G^T)_ik and _ki over its other two
+    vertices i and k, which makes the matrix exactly symmetric despite
+    rounding.  Each is made once ``_sums`` has dropped the one before, and
+    one row of G alpha is alive at a time."""
     a = np.asarray(alpha.matrix, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("diffusion assembly needs a 2x2 weight")
     g = mesh.grads
-    ga = g @ a
 
-    def local(i, j):  # |T| (G alpha G^T)_ij of every triangle
-        return (ga[:, i, None, :] @ g[:, j, :, None])[:, 0, 0] * mesh.areas
+    def local(ga, j):  # |T| (G alpha G^T)_ij of every triangle, for ga row i of G alpha
+        return (ga[:, None, :] @ g[:, j, :, None])[:, 0, 0] * mesh.areas
 
-    diagonal = np.column_stack([local(j, j) for j in range(3)])
-    # the mean of the two orders makes the matrix exactly symmetric despite rounding
-    edge = np.column_stack(
-        [0.5 * (local((j + 1) % 3, (j + 2) % 3) + local((j + 2) % 3, (j + 1) % 3)) for j in range(3)]
-    )
-    del ga
-    return _scatter(mesh, diagonal, edge)
+    diagonal = np.empty((len(g), 3))
+    for i in range(3):
+        diagonal[:, i] = local(g[:, i] @ a, i)
+    yield diagonal
+    del diagonal
+    edge = np.zeros((len(g), 3))
+    for i in range(3):
+        ga = g[:, i] @ a
+        edge[:, (i + 2) % 3] += local(ga, (i + 1) % 3)
+        edge[:, (i + 1) % 3] += local(ga, (i + 2) % 3)
+        del ga  # before the next row is made
+    edge *= 0.5
+    yield edge
+
+
+def _mass_entries(mesh):
+    """Yields each triangle's consistent mass entries: |T| 2/12 on the
+    diagonal, then |T| 1/12 on the edges."""
+    share = np.repeat(mesh.areas[:, None] * (1.0 / 12.0), 3, axis=1)
+    yield 2.0 * share
+    yield share
+
+
+def _sums(mesh, entries):
+    """Each vertex's sum over ``triangles`` of the first (nt, 3) array that
+    ``entries`` yields, then each edge's sum over ``tri_edges`` of the second;
+    ``np.bincount`` adds in triangle order."""
+    nv = mesh.num_vertices
+    sums = np.empty(nv + mesh.num_edges)
+    sums[:nv] = np.bincount(mesh.triangles.ravel(), next(entries).ravel(), nv)
+    sums[nv:] = np.bincount(mesh.tri_edges.ravel(), next(entries).ravel(), mesh.num_edges)
+    return sums
+
+
+def _scatter(sums, pattern):
+    """The CSR matrix on ``pattern`` of ``_sums``: each vertex's sum once on
+    the diagonal, each edge's twice, mirrored.  Full and reduced matrices
+    both come from here."""
+    import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
+
+    indptr, indices, gather = pattern
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.take(sums, gather), indices, indptr), shape=(n, n))
+
+
+def assemble_stiffness(mesh, alpha):
+    """Full (Neumann) stiffness with entries int_T (alpha grad phi_j) . grad phi_i."""
+    return _scatter(_sums(mesh, _stiffness_entries(mesh, alpha)), _neumann(mesh))
 
 
 def assemble_mass(mesh):
-    """Consistent P1 mass matrix (exact, not lumped): |T| 2/12 on the diagonal
-    and |T| 1/12 on the edges of each triangle."""
-    share = np.repeat(mesh.areas[:, None] * (1.0 / 12.0), 3, axis=1)
-    return _scatter(mesh, 2.0 * share, share)
+    """Consistent P1 mass matrix (exact, not lumped)."""
+    return _scatter(_sums(mesh, _mass_entries(mesh)), _neumann(mesh))
 
 
 def lumped_load(mesh, nodal_f):
@@ -101,38 +169,54 @@ def lumped_load(mesh, nodal_f):
 
 def reduce_system(matrix, mesh):
     """Eliminate boundary rows/columns; returns the CSR system over the
-    interior vertices."""
+    interior vertices.  The solvers assemble that system directly on
+    ``Dirichlet.pattern``, which gives the same matrix."""
     free = mesh.interior_vertices
     return matrix[free][:, free]
 
 
-def line_preconditioner(a, mesh, alpha):
-    """``apply(r)``: exact solves with the principal submatrices of the reduced
-    system ``a`` on the grid lines along alpha's larger diagonal entry (x on a
-    tie).  These blocks are tridiagonal, so the preconditioner is SPD whenever
-    ``a`` is, and a nonpositive LDL^T pivot proves ``a`` indefinite.  Line j
-    is column j of a grid padded with a unit diagonal."""
-    along = int(alpha.matrix[1][1] > alpha.matrix[0][0])
-    coords = mesh.vertices[mesh.interior_vertices]
+def _line_layout(coords, along, pattern):
+    """``(width, lines, slot, link_slot, link)``: the grid lines of the points
+    ``coords`` along axis ``along``, and where a line factor reads a matrix on
+    ``pattern``.  Line j is column j of a (width, lines) grid: point i sits at
+    flat ``slot[i]``, and each point's coupling to the previous one on its
+    line, where the pattern holds one, at ``link_slot``, read from the matrix's
+    ``data`` at ``link``."""
     order = np.lexsort((coords[:, along], coords[:, 1 - along]))
     _, start, line = np.unique(coords[order, 1 - along], return_index=True, return_inverse=True)
     within = np.arange(len(order)) - start[line]
     width, lines = within.max(initial=-1) + 1, len(start)
     slot = np.empty(len(order), dtype=np.int64)
     slot[order] = within * lines + line
-    # low: each vertex's coupling to the previous one on its line, then L's entry
+    # an entry of row i is i's coupling to the next point on its line where
+    # its column is that point
+    succ = np.full(len(order), -1)
+    same = line[1:] == line[:-1]
+    succ[order[:-1][same]] = order[1:][same]
+    indptr, indices, _ = pattern
+    link = np.flatnonzero(np.repeat(succ, np.diff(indptr)) == indices)
+    return width, lines, slot, slot[indices[link]], link
+
+
+def _line_factor(a, layout):
+    """``apply(r)``: exact solves with the principal submatrices of ``a`` on
+    the grid lines of ``layout``.  These blocks are tridiagonal, so the
+    preconditioner is SPD whenever ``a`` is, and a nonpositive LDL^T pivot
+    proves ``a`` indefinite.  The padding of the grid has a unit diagonal."""
+    width, lines, slot, link_slot, link = layout
+    # low: each point's coupling to the previous one on its line, then L's entry
     piv, low = np.ones((width, lines)), np.zeros((width, lines))
     piv.reshape(-1)[slot] = a.diagonal()
-    couplings = np.asarray(a[order[:-1], order[1:]]).ravel()
-    low.reshape(-1)[slot[order[1:]]] = np.where(line[1:] == line[:-1], couplings, 0.0)
-    for i in range(width):
-        if not np.all(piv[i] > 0.0):
-            raise SolverError("stiffness is not positive definite")
-        if i + 1 < width:
+    low.reshape(-1)[link_slot] = np.take(a.data, link)
+    # rows past a nonpositive pivot fill with inf or nan, unwarned; one check
+    # after the loop fails exactly when a check of each row would have
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(width - 1):
             low[i + 1] /= piv[i]
             piv[i + 1] -= low[i + 1] * low[i + 1] * piv[i]
-    with np.errstate(over="ignore"):
         inv_piv = 1.0 / piv
+    if not np.all(piv > 0.0):
+        raise SolverError("stiffness is not positive definite")
     if not np.all(np.isfinite(inv_piv)):
         raise SolverError("stiffness pivot too small to invert in floating point")
     grid = np.zeros((width, lines))  # padded slots stay 0 through every sweep
@@ -151,6 +235,49 @@ def line_preconditioner(a, mesh, alpha):
         return np.take(flat, slot)
 
     return apply
+
+
+def _along(alpha):
+    """The axis of alpha's larger diagonal entry (x on a tie)."""
+    return int(alpha.matrix[1][1] > alpha.matrix[0][0])
+
+
+def line_preconditioner(a, mesh, alpha):
+    """``apply(r)``: exact solves with the principal submatrices of the reduced
+    system ``a`` (on the pattern of ``mesh.dirichlet``) on the grid lines along
+    alpha's larger diagonal entry (x on a tie); see ``_line_factor``."""
+    return _line_factor(a, mesh.dirichlet.lines(_along(alpha)))
+
+
+class Dirichlet:
+    """The part of every Dirichlet system over one mesh that no weight enters.
+
+    ``pattern`` is the ``_pattern`` of the interior vertices, on which the
+    reduced matrices are assembled directly.  ``lines(along)``, the
+    ``_line_layout`` of the interior vertices along each axis, and ``mass``,
+    the reduced consistent mass matrix, are built on first use.  The mesh is
+    held by a weak reference, so a mesh that keeps its ``Dirichlet``
+    (``TriMesh.dirichlet``) is freed by reference count alone.
+    """
+
+    def __init__(self, mesh):
+        self._mesh = weakref.ref(mesh)
+        self.pattern = _pattern(mesh, ~mesh.boundary_vertex)
+        for part in self.pattern:
+            part.flags.writeable = False  # every matrix on the pattern shares it
+        self._lines = {}
+
+    def lines(self, along):
+        if along not in self._lines:
+            mesh = self._mesh()
+            coords = mesh.vertices[mesh.interior_vertices]
+            self._lines[along] = _line_layout(coords, along, self.pattern)
+        return self._lines[along]
+
+    @cached_property
+    def mass(self):
+        mesh = self._mesh()
+        return _scatter(_sums(mesh, _mass_entries(mesh)), self.pattern)
 
 
 def _levels(mesh, alpha):
@@ -246,27 +373,38 @@ def conjugate_gradients(a, b, precondition):
     raise SolverError(f"CG did not reach rtol={RTOL} within {maxiter} iterations")
 
 
-def dirichlet_stiffness(mesh, alpha):
-    """``(s, k, precondition)``: the reduced stiffness ``k`` of alpha / s and its
-    line preconditioner, for the power of two s <= lambda_max(alpha) < 2 s.
-    Any weight magnitude thus stays in float range, and every product with
-    ``k`` and every apply is exactly 1/s of the unscaled one."""
+def _reduced(mesh, alpha, dirichlet):
+    """``(s, k, precondition)`` of ``dirichlet_stiffness``, assembled on the
+    ``Dirichlet`` structure ``dirichlet`` of ``mesh``."""
     top = largest_eigenvalue(alpha)
     if not top > 0.0:
         raise SolverError(f"weight has no positive eigenvalue (largest {top})")
     s = math.ldexp(1.0, math.frexp(top)[1] - 1)
     scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
-    k = reduce_system(assemble_stiffness(mesh, scaled), mesh)
-    return s, k, line_preconditioner(k, mesh, scaled)
+    lines = dirichlet.lines(_along(scaled))  # before the entries: their peaks do not add
+    k = _scatter(_sums(mesh, _stiffness_entries(mesh, scaled)), dirichlet.pattern)
+    return s, k, _line_factor(k, lines)
+
+
+def dirichlet_stiffness(mesh, alpha):
+    """``(s, k, precondition)``: the reduced stiffness ``k`` of alpha / s and its
+    line preconditioner, for the power of two s <= lambda_max(alpha) < 2 s.
+    Any weight magnitude thus stays in float range, and every product with
+    ``k`` and every apply is exactly 1/s of the unscaled one.  Built on the
+    structure the mesh keeps, ``mesh.dirichlet``, for the systems that repeat
+    on one mesh: the oracle's weights and V-cycle levels."""
+    return _reduced(mesh, alpha, mesh.dirichlet)
 
 
 def solve_diffusion(mesh, alpha, f):
     """Galerkin solution of the diffusion problem with source f: a constant,
-    or a callable f(x, y) interpolated at the vertices."""
+    or a callable f(x, y) interpolated at the vertices.  A solve of one weight
+    builds its own ``Dirichlet`` and drops it, so that the mesh does not carry
+    it through the flux and the norms that follow."""
     nodal_f = f(mesh.vertices[:, 0], mesh.vertices[:, 1]) if callable(f) else float(f)
     free = mesh.interior_vertices
     b = lumped_load(mesh, nodal_f)[free]
-    s, k, precondition = dirichlet_stiffness(mesh, alpha)
+    s, k, precondition = _reduced(mesh, alpha, Dirichlet(mesh))
     x, iters = conjugate_gradients(k, b, precondition)  # s times the solution
     values = np.zeros(mesh.num_vertices)
     with np.errstate(over="ignore"):

@@ -100,6 +100,16 @@ class TriMesh:
         p = prolongation(coarse, self)[self.interior_vertices][:, coarse.interior_vertices]
         return coarse, p, p.T.tocsr()
 
+    @cached_property
+    def dirichlet(self):
+        """``fem.Dirichlet`` of this mesh: the part of its Dirichlet systems
+        that no weight enters (the reduced CSR pattern, the grid lines and the
+        reduced mass), built on first read and kept for the systems that
+        repeat on this mesh, the oracle's.  It refers to the mesh weakly."""
+        from .fem import Dirichlet  # fem, not the mesh, knows the systems
+
+        return Dirichlet(self)
+
 
 def _twice_signed_areas(x, y):
     return (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])

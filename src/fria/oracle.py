@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    P1Solution,
-    SolverError,
-    assemble_mass,
-    energy_norm,
-    multigrid_stiffness,
-    reduce_system,
-)
+from .fem import P1Solution, SolverError, energy_norm, multigrid_stiffness
 from .mesh import prolongation
 
 
@@ -65,7 +58,7 @@ def estimate_cfa(mesh, alpha):
     so any weight magnitude stays in float range and the eigenvalue is
     exactly s times the scaled one.
     """
-    m = reduce_system(assemble_mass(mesh), mesh)  # before the hierarchy: their peaks do not add
+    m = mesh.dirichlet.mass  # kept by the mesh; before the hierarchy: their peaks do not add
     s, k, precondition = multigrid_stiffness(mesh, alpha)
     n = k.shape[0]
     if n == 0:

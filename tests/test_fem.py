@@ -203,6 +203,34 @@ class TestAssembly:
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
+    @pytest.mark.parametrize(
+        "alpha", [IDENT, ANISO, ANISO_Y, FULL, ROTATED, SKEWED],
+        ids=["ident", "aniso", "aniso_y", "full", "rotated", "skewed"],
+    )
+    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
+    def test_direct_reduced_stiffness_is_the_sliced_one(self, mesh_cache, mesh_name, alpha):
+        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
+        s, got, _ = fem.dirichlet_stiffness(m, alpha)
+        scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
+        _assert_same_csr(got, reduce_system(assemble_stiffness(m, scaled), m))
+
+    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
+    def test_direct_reduced_mass_is_the_sliced_one(self, mesh_cache, mesh_name):
+        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
+        _assert_same_csr(m.dirichlet.mass, reduce_system(assemble_mass(m), m))
+
+    def test_kept_pattern_is_read_only(self, mesh_cache):
+        # the matrices of every weight share it: an in-place edit of one raises
+        m = mesh_cache("square", 8)
+        k = fem.dirichlet_stiffness(m, ANISO)[1]
+        assert not any(part.flags.writeable for part in m.dirichlet.pattern)
+        assert np.shares_memory(k.indices, m.dirichlet.pattern[1])
+
+    def test_solve_keeps_nothing_on_the_mesh(self):
+        m = fria.build_lshape(1)
+        solve_diffusion(m, ANISO, 1.0)
+        assert "dirichlet" not in vars(m)
+
     def test_reduced_system_exactly_symmetric(self, mesh_cache):
         m = mesh_cache("square", 8)
         a = reduce_system(assemble_stiffness(m, ANISO), m)
@@ -230,6 +258,14 @@ class TestAssembly:
         expected = np.zeros(m.num_vertices)
         np.add.at(expected, m.triangles.ravel(), np.repeat(m.areas / 3.0, 3))
         assert np.array_equal(lumped_load(m, nodal_f), expected * nodal_f)
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert got.has_canonical_format and want.has_canonical_format
 
 
 class TestEnergyNorm:
@@ -323,6 +359,27 @@ class TestLinePreconditioner:
         # the pivots run 1, 0 on every x-line: raised before dividing by 0
         with pytest.raises(SolverError, match="not positive definite"):
             solve_diffusion(mesh_cache("square", 8), DiagonalWeight((1.0, -0.5)), 1.0)
+
+    @pytest.mark.parametrize("pivot", ["zero", "negative"])
+    def test_first_nonpositive_pivot_in_a_middle_row_raises(self, mesh_cache, pivot):
+        # the x-line y = 1/2 of square 8 gets a 4th pivot of 0 or below; a zero
+        # one fills the rows after it with inf and nan, and no warning escapes
+        m = mesh_cache("square", 8)
+        system = _system(m, ANISO)
+        coords = m.vertices[m.interior_vertices]
+        line = np.flatnonzero(coords[:, 1] == 0.5)
+        line = line[np.argsort(coords[line, 0])]
+        block = system[line][:, line].toarray()
+        piv = block[0, 0]
+        for i in range(1, 3):
+            low = block[i - 1, i] / piv
+            piv = block[i, i] - low * low * piv
+        low = block[2, 3] / piv
+        system[line[3], line[3]] = low * low * piv if pivot == "zero" else -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not positive definite"):
+                line_preconditioner(system, m, ANISO)
 
     def test_pivot_too_small_to_invert_raises(self, mesh_cache):
         # the pivots are subnormal, so their reciprocals overflow

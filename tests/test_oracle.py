@@ -116,9 +116,10 @@ class TestEigenEstimate:
         try:
             estimate_cfa(m, DiagonalWeight((1.0, 1e-2)))
             assert gc.collect() == 0
-            coarse = [weakref.ref(m.coarser[0]), weakref.ref(m.coarser[0].coarser[0])]
-            del m
-            assert [ref() for ref in coarse] == [None, None]
+            chain = [m, m.coarser[0], m.coarser[0].coarser[0]]
+            kept = [weakref.ref(x) for x in chain[1:] + [c.dirichlet for c in chain]]
+            del m, chain
+            assert [ref() for ref in kept] == [None] * 5
         finally:
             gc.enable()
 
@@ -135,6 +136,56 @@ class TestEigenEstimate:
             estimate_cfa(m, DiagonalWeight((1.0, delta)))
         assert built == [32, 16]
 
+    def test_one_structure_per_chain_mesh(self, monkeypatch):
+        m = build_unit_square(64)
+        patterns, masses = [], []
+        pattern, mass_entries = fem._pattern, fem._mass_entries
+
+        def counted_pattern(mesh, keep):
+            patterns.append(mesh.n)
+            return pattern(mesh, keep)
+
+        def counted_mass(mesh):
+            masses.append(mesh.n)
+            return mass_entries(mesh)
+
+        monkeypatch.setattr(fem, "_pattern", counted_pattern)
+        monkeypatch.setattr(fem, "_mass_entries", counted_mass)
+        for delta in (1e-2, 1.0, 1e2):
+            estimate_cfa(m, DiagonalWeight((1.0, delta)))
+        assert patterns == [64, 32, 16]
+        assert masses == [64]
+
+    # repr of each estimate at 5afc0a4, before the direct reduced assembly
+    PARENT_REPRS = {
+        "square128": [
+            "EigenEstimate(lambda_min=9.969801690102912, iterations=26, residual=3.851326786122471e-12)",
+            "EigenEstimate(lambda_min=19.742181571488192, iterations=12, residual=1.97239082724679e-12)",
+            "EigenEstimate(lambda_min=996.9801690102622, iterations=26, residual=3.8513434441556196e-10)",
+        ],
+        "L3": [
+            "EigenEstimate(lambda_min=10.262376749597285, iterations=20, residual=1.4502801436256053e-12)",
+            "EigenEstimate(lambda_min=38.60166527716623, iterations=14, residual=9.805384166809737e-12)",
+            "EigenEstimate(lambda_min=1026.2376749597024, iterations=20, residual=1.450276701410971e-10)",
+        ],
+        "rolled8-1": [
+            "EigenEstimate(lambda_min=10.355247655428462, iterations=12, residual=2.0120056046973196e-10)",
+            "EigenEstimate(lambda_min=20.505544897707896, iterations=19, residual=2.3868575163143775e-09)",
+            "EigenEstimate(lambda_min=1035.5247655428457, iterations=12, residual=2.01200744429474e-08)",
+        ],
+    }
+    PARENT_MESHES = {
+        "square128": lambda c: c("square", 128),
+        "L3": lambda c: c("lshape", 3),
+        "rolled8-1": lambda c: rolled_square(8, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(PARENT_REPRS))
+    def test_estimates_keep_their_bits(self, mesh_cache, name):
+        m = self.PARENT_MESHES[name](mesh_cache)
+        got = [repr(estimate_cfa(m, DiagonalWeight((1.0, delta)))) for delta in (1e-2, 1.0, 1e2)]
+        assert got == self.PARENT_REPRS[name]
+
     def test_no_weight_state_in_the_chain(self):
         weights = [
             DiagonalWeight((1.0, 1e-2)),
@@ -145,10 +196,27 @@ class TestEigenEstimate:
         def bits(estimates):
             return [(e.lambda_min.hex(), e.iterations, e.residual.hex()) for e in estimates]
 
+        def kept(m):
+            """Every array that the chain of m keeps in its ``dirichlet``, as bytes."""
+            out = []
+            while m is not None:
+                d = vars(m.dirichlet)
+                assert set(d) <= {"_mesh", "pattern", "_lines", "mass"}
+                arrays = list(d["pattern"])
+                for along in sorted(d["_lines"]):
+                    arrays += d["_lines"][along]
+                if "mass" in d:
+                    arrays.append(d["mass"].data)
+                out.append([np.asarray(x).tobytes() for x in arrays])
+                m = m.coarser and m.coarser[0]
+            return out
+
         shared = build_lshape(2)
         forward = bits(estimate_cfa(shared, w) for w in weights)
+        forward_kept = kept(shared)
         shared = build_lshape(2)
         backward = bits(estimate_cfa(shared, w) for w in weights[::-1])[::-1]
+        assert kept(shared) == forward_kept
         fresh = bits(estimate_cfa(build_lshape(2), w) for w in weights)
         assert forward == backward == fresh
 

@@ -7,7 +7,11 @@ keeps the last line of each run, the JSON result.  One more run of
 ``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
 of every level and every per-layer time (the metrics named ``*_s``), and one
 of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
-``count oracle.outer_iters.delta*`` lines).  Then ``python -m fria.cli
+``count oracle.outer_iters.delta*`` lines).  Beside those steps,
+``oracle_cfa_setup_s`` is the oracle's setup alone, timed in this process:
+``fem.multigrid_stiffness`` and the reduced mass (``mesh.dirichlet.mass``,
+as ``estimate_cfa`` reads it) for the three deltas of ``oracle_cfa`` on a
+fresh n = 128 square, the fastest of 5.  Then ``python -m fria.cli
 experiment table2 --levels 5``, ``--levels 6`` and ``--levels 7`` (6.29M
 triangles, about 2.1 GB at peak) run each in a child process of its own,
 with ``PYTHONPATH=src``; the file keeps the wall time of each and that
@@ -59,6 +63,24 @@ def _oracle_steps():
     lines = _bench_lines("oracle_cfa", "--trace", "1", "--seconds", "1")
     pairs = (line[len(prefix):].split() for line in lines if line.startswith(prefix))
     return {delta: json.loads(steps) for delta, steps in pairs}
+
+
+def _oracle_setup_s():
+    """Fastest of 5 timings of the ``oracle_cfa`` setup on a fresh mesh."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fria import fem, mesh, weights
+
+    alphas = [weights.DiagonalWeight((1.0, delta)) for delta in (1e-2, 1.0, 1e2)]
+    fem.multigrid_stiffness(mesh.build_unit_square(32), alphas[0])  # loads scipy.sparse
+    best = float("inf")
+    for _ in range(5):
+        m = mesh.build_unit_square(128)
+        start = time.perf_counter()
+        for alpha in alphas:
+            fem.multigrid_stiffness(m, alpha)
+            m.dirichlet.mass
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _code_lines(path):
@@ -126,6 +148,7 @@ def main():
         "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
         "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
         "oracle_cfa_steps": _oracle_steps(),
+        "oracle_cfa_setup_s": _oracle_setup_s(),
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
         "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
