@@ -20,11 +20,14 @@ from fria.weights import DiagonalWeight, FullWeight
 from reference_quadrature import rolled_square, tiny_triangle_soup
 
 DIGESTS = Path(__file__).with_name("mesh_digests.json")
-DIGEST_MESHES = [("lshape", k) for k in range(6)] + [
-    ("square", n) for n in (1, 2, 3, 8, 33, 64, 128)
-]
-# meshes whose edge table must put each normal and sign on the lower triangle;
-# the rolled squares and the soup are not among the digest meshes
+# grids by level or n, and the triangle lists no grid gives: the n = 8 square
+# listed from corner 1 or 2 of every triangle, and the soup of tiny triangles
+DIGEST_MESHES = (
+    [("lshape", k) for k in range(6)]
+    + [("square", n) for n in (1, 2, 3, 8, 33, 64, 128)]
+    + [("rolled8", 1), ("rolled8", 2), ("soup", 200)]
+)
+# meshes whose edge table must put each normal and sign on the lower triangle
 ORIENTATION_MESHES = {
     "lshape0": lambda cache: cache("lshape", 0),
     "lshape2": lambda cache: cache("lshape", 2),
@@ -364,6 +367,10 @@ class TestCoarser:
 
 
 def build(domain, k):
+    if domain == "rolled8":
+        return rolled_square(8, k)
+    if domain == "soup":
+        return tiny_triangle_soup()
     return build_lshape(k) if domain == "lshape" else build_unit_square(k)
 
 
