@@ -21,6 +21,9 @@ from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 
 # --method name -> Friedrichs formula (the Maxwell arm too); also the argparse choices
 _FRIEDRICHS_FORMULAS = {"auto": friedrichs.best_bound, **friedrichs.FORMULAS}
+# bytes per triangle of the finest level at the experiment's peak, the majorant
+# norms (317 measured at level 5)
+_EXPERIMENT_BYTES_PER_TRIANGLE = 320
 
 
 class UsageError(ValueError):
@@ -50,6 +53,23 @@ def _parse_levels(text):
     if lo < 0 or hi > MAX_LEVEL:
         raise UsageError(f"--levels must lie in 0..{MAX_LEVEL}, got {text!r}")
     return list(range(lo, hi + 1))
+
+
+def _available_bytes(meminfo="/proc/meminfo"):
+    """Memory the system can give this process now: ``MemAvailable``, which
+    counts the page cache the kernel can drop, else the free pages alone, else
+    (on a system that reports neither) no limit."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return math.inf
 
 
 def _weight_flag(text, flag):
@@ -141,6 +161,17 @@ def _cmd_experiment(args):
         raise UsageError("--constants needs a comma-separated list of finite positive reals")
     if not math.isfinite(args.f):
         raise UsageError(f"--f must be finite, got {args.f}")
+    # refused up front: a run that cannot fit would end in a kill without a message
+    finest = max(levels)
+    triangles = 384 * 4**finest  # of build_lshape(finest)
+    need = _EXPERIMENT_BYTES_PER_TRIANGLE * triangles
+    available = _available_bytes()
+    if need > available:
+        raise MemoryError(
+            f"level {finest} needs about {need / 2**30:.1f} GiB "
+            f"({_EXPERIMENT_BYTES_PER_TRIANGLE} B x {triangles} triangles), "
+            f"{available / 2**30:.1f} GiB available"
+        )
     sink = _solution_writer(args.solutions) if args.solutions else None
     rows = majorant.run_refinement_experiment(levels, alpha, args.f, constants, sink=sink)
     if tuple(constants) == majorant.TABLE2_CONSTANTS:

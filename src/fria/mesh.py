@@ -119,10 +119,10 @@ def _edge_codes(triangles, nv):
     """Edge j of every triangle (opposite local vertex j) as the integer
     ``lo * nv + hi`` of its sorted vertex pair; sorting the codes sorts the
     pairs lexicographically."""
-    local = triangles[:, [[1, 2], [2, 0], [0, 1]]]
-    codes = local.min(axis=2).astype(np.int64)  # nv**2 passes 2**31 from level 4
+    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    codes = np.minimum(a, b).astype(np.int64)  # nv**2 passes 2**31 from level 4
     codes *= nv
-    codes += local.max(axis=2)
+    codes += np.maximum(a, b)
     return codes
 
 
@@ -135,43 +135,62 @@ def _finalize(vertices, triangles, domain, n, level):
     nv = len(vertices)
     nt = len(triangles)
 
-    codes, first, inverse, counts = np.unique(
-        _edge_codes(triangles, nv).ravel(), return_index=True, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.astype(np.int32).reshape(nt, 3)
+    codes = _edge_codes(triangles, nv).ravel()
+    # flat index k is local edge k % 3 of triangle k // 3, so in the stable
+    # order an edge's first occurrence lies in its lower triangle
+    order = np.argsort(codes, kind="stable")
+    codes = np.take(codes, order)
+    # where each run of equal codes starts, and the end; built in place: small
+    # temporary arrays here raised the peak resident memory of repeated runs
+    # (likely numpy's reuse of small buffers keeping the heap top in use)
+    bounds = np.empty(3 * nt + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    start, counts = bounds[:-1], np.diff(bounds)
     if counts.max() > 2:
         raise MeshError("edge shared by more than two triangles")
-    edges = np.empty((len(codes), 2), dtype=np.int32)
-    np.divmod(codes, nv, out=(edges[:, 0], edges[:, 1]))
-    # flat index k is local edge k % 3 of triangle k // 3, so any occurrence
-    # after an edge's first lies in its higher triangle
-    later = first[inverse.ravel()] != np.arange(3 * nt)
-    lower, local = np.divmod(first, 3)
-    edge_tris = np.full((len(codes), 2), -1, dtype=np.int32)
-    edge_tris[:, 0] = lower
-    edge_tris[inverse.ravel()[later], 1] = np.flatnonzero(later) // 3
-    signs = np.where(later, -1.0, 1.0).reshape(nt, 3)
-    # the lower triangle runs its edge j counterclockwise from corner j + 1,
-    # so the lo -> hi normal points out of it unless that corner is hi
-    flip = triangles.ravel()[3 * lower + (local + 1) % 3] == edges[:, 1]
-    del codes, first, later, lower, local
+    edges = np.empty((len(start), 2), dtype=np.int32)
+    np.divmod(np.take(codes, start), nv, out=(edges[:, 0], edges[:, 1]))
+    inverse = np.empty(3 * nt, dtype=np.int32)
+    inverse[order] = np.repeat(np.arange(len(start), dtype=np.int32), counts)
+    first = np.take(order, start)
+    shared = np.flatnonzero(counts == 2)
+    later = np.take(order, np.take(start, shared) + 1)  # each shared edge in its higher triangle
+    del codes, order, start, bounds
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int32)
+    edge_tris[:, 0] = first // 3
+    edge_tris[shared, 1] = later // 3
+    signs = np.ones(3 * nt)
+    signs[later] = -1.0
+    # the lower triangle runs its edge j counterclockwise from corner j + 1 (flat
+    # index first + 1, or first - 2 for j = 2), so the lo -> hi normal points out
+    # of it unless that corner is hi
+    flip = np.take(triangles, first + 1 - 3 * (first % 3 == 2)) == edges[:, 1]
+    del first, later, shared
 
     vx, vy = vertices[:, 0], vertices[:, 1]
     x, y = np.take(vx, triangles), np.take(vy, triangles)
     twice_area = _twice_signed_areas(x, y)
-    # grad of basis j: the edge from corner j+1 to corner j+2 turned a
-    # quarter counterclockwise, over twice the signed area
+    # grad of basis j: the edge from corner j+1 to corner j+2 turned a quarter
+    # counterclockwise, over twice the signed area; each column is divided as it
+    # is written (one broadcast divide of the whole array takes longer)
     grads = np.empty((nt, 3, 2))
     for j in range(3):
-        np.subtract(y[:, (j + 1) % 3], y[:, (j + 2) % 3], out=grads[:, j, 0])
-        np.subtract(x[:, (j + 2) % 3], x[:, (j + 1) % 3], out=grads[:, j, 1])
-    grads /= twice_area[:, None, None]
+        g = grads[:, j]
+        np.subtract(y[:, (j + 1) % 3], y[:, (j + 2) % 3], out=g[:, 0])
+        np.subtract(x[:, (j + 2) % 3], x[:, (j + 1) % 3], out=g[:, 1])
+        np.divide(g[:, 0], twice_area, out=g[:, 0])
+        np.divide(g[:, 1], twice_area, out=g[:, 1])
     del x, y
 
     tx, ty = (np.take(v, edges[:, 1]) - np.take(v, edges[:, 0]) for v in (vx, vy))
     edge_lengths = np.hypot(tx, ty)
-    normals = np.stack((ty / edge_lengths, -tx / edge_lengths), axis=1)
-    normals[flip] *= -1.0
+    # a / -b == -(a / b) exactly, so each flipped normal takes its sign from the divisor
+    signed = np.where(flip, -edge_lengths, edge_lengths)
+    normals = np.empty((len(edges), 2))
+    np.divide(ty, signed, out=normals[:, 0])
+    np.divide(np.negative(tx, out=tx), signed, out=normals[:, 1])
 
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True
@@ -189,8 +208,8 @@ def _finalize(vertices, triangles, domain, n, level):
         grads=grads,
         edge_lengths=edge_lengths,
         edge_normals=normals,
-        tri_edges=inverse,
-        tri_edge_signs=signs,
+        tri_edges=inverse.reshape(nt, 3),
+        tri_edge_signs=signs.reshape(nt, 3),
     )
 
 
@@ -295,12 +314,12 @@ def validate(m):
 
     # both vertices of every edge must be corners of each adjacent triangle
     adjacent = m.edge_tris >= 0
-    corners = m.triangles[np.where(adjacent, m.edge_tris, 0)]
-    spanned = (corners[:, :, None, :] == m.edges[:, None, :, None]).any(axis=3).all(axis=2)
+    c0, c1, c2 = np.take(m.triangles.T, np.where(adjacent, m.edge_tris, 0), axis=1)
+    has_lo, has_hi = ((c0 == v) | (c1 == v) | (c2 == v) for v in (m.edges[:, :1], m.edges[:, 1:]))
     problems += [
         f"conformity violated: edge {e} = ({m.edges[e, 0]},{m.edges[e, 1]}) not a "
         f"vertex pair of its adjacent triangle {m.edge_tris[e, s]}"
-        for e, s in np.argwhere(adjacent & ~spanned)
+        for e, s in np.argwhere(adjacent & ~(has_lo & has_hi))
     ]
     return problems
 

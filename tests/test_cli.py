@@ -317,6 +317,35 @@ class TestErrors:
         assert message in err
         assert path.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("levels,available", [("8", 7.7e9), ("3:5", 1e8)])
+    def test_level_that_cannot_fit_is_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, levels, available
+    ):
+        from fria import cli, majorant
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: available)
+        monkeypatch.setattr(majorant, "build_lshape", None)  # no mesh may be built
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"kept\n")
+        solutions = tmp_path / "solutions"
+        code, out, err = run(
+            capsys, "experiment", "table2", "--levels", levels,
+            "--out", str(path), "--solutions", str(solutions),
+        )
+        finest = levels.split(":")[-1]
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"fria: level {finest} needs about ") and "GiB" in err
+        assert f"{384 * 4 ** int(finest)} triangles" in err
+        assert path.read_bytes() == b"kept\n" and not solutions.exists()
+
+    def test_available_memory_falls_back_to_free_pages(self, tmp_path):
+        from fria.cli import _available_bytes
+
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:  8000 kB\nMemAvailable:  6000 kB\n")
+        assert _available_bytes(str(meminfo)) == 6000 * 1024
+        assert 0 < _available_bytes(str(tmp_path / "missing")) < math.inf
+
     def test_mesh_without_interior_is_computational_error(self, capsys):
         code, out, err = run(capsys, "oracle", "cfa", "--n", "1")
         assert code == 2 and out == ""

@@ -11,18 +11,22 @@ of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
 ``oracle_cfa_setup_s`` is the oracle's setup alone, timed in this process:
 ``fem.multigrid_stiffness`` and the reduced mass (``mesh.dirichlet.mass``,
 as ``estimate_cfa`` reads it) for the three deltas of ``oracle_cfa`` on a
-fresh n = 128 square, the fastest of 5.  Then ``python -m fria.cli
-experiment table2 --levels 5``, ``--levels 6`` and ``--levels 7`` (6.29M
-triangles, about 2.1 GB at peak) run each in a child process of its own,
-with ``PYTHONPATH=src``; the file keeps the wall time of each and that
-child's peak RSS, read from ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in
-the benchmark runs).  The short runs, children the same way, take 0.1 to
+fresh n = 128 square, the fastest of 5.  ``mesh_layer_s`` times the mesh
+layer the same way, the fastest of 5 each: ``build_lshape(5)``,
+``build_unit_square(128)`` and ``validate`` of that square.  Then
+``python -m fria.cli experiment table2 --levels 5``, ``--levels 6`` and
+``--levels 7`` (6.29M triangles, about 2.1 GB at peak) run each in a child
+process of its own, with ``PYTHONPATH=src``; the file keeps the wall time of
+each, that child's peak RSS and its user + system CPU seconds (``cpu_s``),
+read from ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark
+runs).  A wall time that moves while ``cpu_s`` stays put points at the
+machine, not the code.  The short runs, children the same way, take 0.1 to
 0.35 s, so a single run varies by a few percent; each keeps the fastest of 5
-child runs, with that run's peak RSS: ``oracle cfa --n 128`` and ``oracle cfa
---domain lshape --level 4`` (one oracle call each, so each coarse mesh is
-built once at any commit), and the cold starts ``bounds friedrichs --lengths
-1,1 --weight diag:1,1e-4`` and ``table 1``, mostly interpreter and import
-time.  The file also records the Python, numpy and scipy versions, the CPUs the
+child runs, with that run's peak RSS and CPU seconds: ``oracle cfa --n 128``
+and ``oracle cfa --domain lshape --level 4`` (one oracle call each, so each
+coarse mesh is built once at any commit), and the cold starts ``bounds
+friedrichs --lengths 1,1 --weight diag:1,1e-4`` and ``table 1``, mostly
+interpreter and import time.  The file also records the Python, numpy and scipy versions, the CPUs the
 process may use, the commit, whether tracked files differ from it,
 ``src_lines``, the total line count of ``src/fria/*.py``, and
 ``src_code_lines``, the lines of those files that are not blank, not ``#``
@@ -83,6 +87,28 @@ def _oracle_setup_s():
     return best
 
 
+def _best_of_5(call):
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _mesh_layer_s():
+    """Fastest of 5 timings of each mesh-layer step, in this process."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fria import mesh
+
+    square = mesh.build_unit_square(128)
+    return {
+        "build_lshape(5)": _best_of_5(lambda: mesh.build_lshape(5)),
+        "build_unit_square(128)": _best_of_5(lambda: mesh.build_unit_square(128)),
+        "validate(square 128)": _best_of_5(lambda: mesh.validate(square)),
+    }
+
+
 def _code_lines(path):
     """Lines of ``path`` that are neither blank, nor ``#`` comments, nor
     inside a module, class or function docstring."""
@@ -100,7 +126,7 @@ def _code_lines(path):
 
 
 def _cli_run(*args, runs=1):
-    """Wall time and peak RSS of the fastest of ``runs`` child runs."""
+    """Wall time, peak RSS and CPU seconds of the fastest of ``runs`` child runs."""
     return min((_cli_once(*args) for _ in range(runs)), key=lambda run: run["wall_s"])
 
 
@@ -114,7 +140,11 @@ def _cli_once(*args):
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode:
         raise subprocess.CalledProcessError(child.returncode, argv)
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+    return {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mb": usage.ru_maxrss / 1024,
+    }
 
 
 def main():
@@ -149,6 +179,7 @@ def main():
         "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
         "oracle_cfa_steps": _oracle_steps(),
         "oracle_cfa_setup_s": _oracle_setup_s(),
+        "mesh_layer_s": _mesh_layer_s(),
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
         "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
