@@ -191,6 +191,7 @@ def _finalize(vertices, triangles, domain, n, level):
     normals = np.empty((len(edges), 2))
     np.divide(ty, signed, out=normals[:, 0])
     np.divide(np.negative(tx, out=tx), signed, out=normals[:, 1])
+    del tx, ty, signed  # freed before areas is made: kept, they raised later peak RSS
 
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True

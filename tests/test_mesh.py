@@ -115,10 +115,10 @@ class TestMemory:
         nt = m.num_triangles
         # int32 index tables and float64 signs hold 173 (int64 tables: 221)
         assert resident / nt <= 180
-        # the edge sort and the geometry peak at 259 in all (np.unique's sort with
+        # the edge sort and the geometry peak at 251 in all (np.unique's sort with
         # its index, inverse and counts, and a masked normal flip: 263; int64
         # tables: 322)
-        assert build_peak / nt <= 262
+        assert build_peak / nt <= 254
         # assembly on the interior pattern peaks at 118 with the structure the
         # mesh keeps (the Neumann COO and its two-step slice: 151; the 9-triplet
         # scatter: 308)
