@@ -1,13 +1,15 @@
 """P1 Galerkin assembly and solve for the diffusion problem.
 
 The stiffness integrand is constant per triangle, so assembly is exact.
+Every matrix is gathered from per-vertex and per-edge sums into a CSR
+pattern that scipy's COO to CSR conversion sorts (``_pattern``).
 Homogeneous Dirichlet conditions are imposed by eliminating boundary rows
 and columns, which keeps the reduced system exactly symmetric positive
-definite; it is assembled directly on the interior rows and columns, whose
-pattern (``Dirichlet``) no weight enters.  The solver is conjugate gradients
-with a line-relaxation preconditioner and a deterministic, fixed-order
-accumulation; the eigenvalue oracle takes the same system with a V-cycle
-that smooths by that relaxation.
+definite; ``Dirichlet.stiffness`` assembles it directly on the interior rows
+and columns, whose pattern no weight enters, with its line-relaxation
+preconditioner.  The solver is conjugate gradients with a deterministic,
+fixed-order accumulation; the eigenvalue oracle takes the same system with a
+V-cycle that smooths by that relaxation.
 """
 
 import math
@@ -53,37 +55,30 @@ def _pattern(mesh, keep):
     index of its value in ``_sums``: the vertex's own sum on the diagonal,
     edge e's at ``nv + e`` off it.
 
-    A P1 matrix is nonzero only on the diagonal and on the edges, so row i
-    holds, by column, its lower neighbours, itself and its higher neighbours.
-    The edge table is sorted by its (lo, hi) pairs, so it lists the entries
-    right of the diagonal row by row; those left of it are their transpose,
-    which scipy's CSR to CSC conversion gives row by row in column order.
-    All arrays are int32, as scipy stores the CSR indices of fewer than 2**31
-    vertices."""
+    A P1 matrix is nonzero only on the diagonal and on the edges, so the
+    triplets are the diagonal, each kept edge (i, j) and its mirror (j, i);
+    scipy's COO to CSR conversion sorts each row by column.  All arrays are
+    int32, as scipy stores the CSR indices of fewer than 2**31 vertices."""
     import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
 
     nv = mesh.num_vertices
     renumber = np.cumsum(keep, dtype=np.int32) - 1
     n = int(renumber[-1]) + 1 if nv else 0
     lo, hi = mesh.edges.T
-    kept = np.flatnonzero(np.take(keep, lo) & np.take(keep, hi)).astype(np.int32)
-    starts = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(np.take(renumber, np.take(lo, kept)), minlength=n), out=starts[1:])
-    right = sp.csr_matrix((kept + nv, np.take(renumber, np.take(hi, kept)), starts), shape=(n, n))
-    left = right.tocsc()
-    rows = np.arange(n + 1, dtype=np.int32)
-    indptr = left.indptr + right.indptr + rows
-    indices, gather = np.empty((2, indptr[-1]), dtype=np.int32)
-    diagonal = left.indptr[1:] + right.indptr[:-1] + rows[:-1]
-    indices[diagonal], gather[diagonal] = rows[:-1], np.flatnonzero(keep)
-    # row i of each part moves by what precedes it in row i of the whole
-    for part, shift in (
-        (left, right.indptr[:-1] + rows[:-1]),
-        (right, diagonal + 1 - right.indptr[:-1]),
-    ):
-        at = np.repeat(shift.astype(np.intp), np.diff(part.indptr)) + np.arange(part.nnz)
-        indices[at], gather[at] = part.indices, part.data
-    return indptr, indices, gather
+    kept = np.flatnonzero(np.take(keep, lo) & np.take(keep, hi))
+    m = len(kept)
+    # filled in place: concatenated parts raised the peak RSS of later work
+    rows, cols, gather = np.empty((3, n + 2 * m), dtype=np.int32)
+    rows[:n] = cols[:n] = np.arange(n, dtype=np.int32)
+    gather[:n] = np.flatnonzero(keep)
+    np.take(renumber, np.take(lo, kept), out=rows[n : n + m])
+    np.take(renumber, np.take(hi, kept), out=cols[n : n + m])
+    np.add(kept, nv, out=gather[n : n + m])
+    del kept  # before the CSR arrays are made
+    rows[n + m :], cols[n + m :] = cols[n : n + m], rows[n : n + m]  # each edge's mirror
+    gather[n + m :] = gather[n : n + m]
+    csr = sp.csr_matrix((gather, (rows, cols)), shape=(n, n))
+    return csr.indptr, csr.indices, csr.data
 
 
 def _neumann(mesh):
@@ -167,14 +162,6 @@ def lumped_load(mesh, nodal_f):
     return np.bincount(mesh.triangles.ravel(), shares, mesh.num_vertices) * nodal_f
 
 
-def reduce_system(matrix, mesh):
-    """Eliminate boundary rows/columns; returns the CSR system over the
-    interior vertices.  The solvers assemble that system directly on
-    ``Dirichlet.pattern``, which gives the same matrix."""
-    free = mesh.interior_vertices
-    return matrix[free][:, free]
-
-
 def _line_layout(coords, along, pattern):
     """``(width, lines, slot, link_slot, link)``: the grid lines of the points
     ``coords`` along axis ``along``, and where a line factor reads a matrix on
@@ -237,25 +224,14 @@ def _line_factor(a, layout):
     return apply
 
 
-def _along(alpha):
-    """The axis of alpha's larger diagonal entry (x on a tie)."""
-    return int(alpha.matrix[1][1] > alpha.matrix[0][0])
-
-
-def line_preconditioner(a, mesh, alpha):
-    """``apply(r)``: exact solves with the principal submatrices of the reduced
-    system ``a`` (on the pattern of ``mesh.dirichlet``) on the grid lines along
-    alpha's larger diagonal entry (x on a tie); see ``_line_factor``."""
-    return _line_factor(a, mesh.dirichlet.lines(_along(alpha)))
-
-
 class Dirichlet:
     """The part of every Dirichlet system over one mesh that no weight enters.
 
     ``pattern`` is the ``_pattern`` of the interior vertices, on which the
     reduced matrices are assembled directly.  ``lines(along)``, the
     ``_line_layout`` of the interior vertices along each axis, and ``mass``,
-    the reduced consistent mass matrix, are built on first use.  The mesh is
+    the reduced consistent mass matrix, are built on first use;
+    ``stiffness(alpha)`` assembles the reduced stiffness on it.  The mesh is
     held by a weak reference, so a mesh that keeps its ``Dirichlet``
     (``TriMesh.dirichlet``) is freed by reference count alone.
     """
@@ -279,23 +255,42 @@ class Dirichlet:
         mesh = self._mesh()
         return _scatter(_sums(mesh, _mass_entries(mesh)), self.pattern)
 
+    def stiffness(self, alpha):
+        """``(s, k, precondition)``: the reduced stiffness ``k`` of alpha / s
+        and its line preconditioner, for the power of two s <= lambda_max(alpha)
+        < 2 s.  Any weight magnitude thus stays in float range, and every
+        product with ``k`` and every apply is exactly 1/s of the unscaled one.
+        The lines run along alpha's larger diagonal entry (x on a tie); see
+        ``_line_factor``."""
+        top = largest_eigenvalue(alpha)
+        if not top > 0.0:
+            raise SolverError(f"weight has no positive eigenvalue (largest {top})")
+        s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
+        # the lines before the entries: their peaks do not add
+        lines = self.lines(int(scaled.matrix[1][1] > scaled.matrix[0][0]))
+        mesh = self._mesh()
+        k = _scatter(_sums(mesh, _stiffness_entries(mesh, scaled)), self.pattern)
+        return s, k, _line_factor(k, lines)
+
 
 def _levels(mesh, alpha):
     """``(s, levels)``: the V-cycle's levels from ``mesh`` down, each
-    ``(k, smooth, p, r)``.  k and smooth are ``dirichlet_stiffness`` of the
-    level's mesh, so all levels share the scale s; p and r are the interior
-    prolongation from the next level and its transpose, read from
-    ``TriMesh.coarser``, and None on the last level.  Coarsening stops at
-    ``_COARSEST`` unknowns or at a mesh with no coarser one.  Below the first
-    level, a last level of at most ``_COARSEST`` unknowns is solved by a dense
-    Cholesky factor in place of its line apply."""
-    s, k, smooth = dirichlet_stiffness(mesh, alpha)
+    ``(k, smooth, p, r)``.  k and smooth are the ``Dirichlet.stiffness`` of
+    the level's kept ``TriMesh.dirichlet``, so all levels share the scale s;
+    p and r are the interior prolongation from the next level and its
+    transpose, read from ``TriMesh.coarser``, and None on the last level.
+    Coarsening stops at ``_COARSEST`` unknowns or at a mesh with no coarser
+    one.  Below the first level, a last level of at most ``_COARSEST``
+    unknowns is solved by a dense Cholesky factor in place of its line
+    apply."""
+    s, k, smooth = mesh.dirichlet.stiffness(alpha)
     levels = []
     fine = mesh
     while k.shape[0] > _COARSEST and (link := fine.coarser) is not None:
         fine, p, r = link
         levels.append((k, smooth, p, r))
-        _, k, smooth = dirichlet_stiffness(fine, alpha)
+        _, k, smooth = fine.dirichlet.stiffness(alpha)
     if levels and k.shape[0] <= _COARSEST:
         try:
             root = np.linalg.inv(np.linalg.cholesky(k.toarray()))
@@ -327,10 +322,11 @@ def _cycle(levels, r):
 
 
 def multigrid_stiffness(mesh, alpha):
-    """``dirichlet_stiffness`` with a symmetric V(1,1) cycle over ``_levels``
-    as ``precondition``; with no coarser level, a one-level cycle: the line
-    apply.  Only the weight-dependent part is built here: the meshes and
-    transfers come from the ``TriMesh.coarser`` chain, built once per mesh."""
+    """``mesh.dirichlet.stiffness(alpha)`` with a symmetric V(1,1) cycle over
+    ``_levels`` as ``precondition``; with no coarser level, a one-level
+    cycle: the line apply.  Only the weight-dependent part is built here: the
+    meshes and transfers come from the ``TriMesh.coarser`` chain, built once
+    per mesh."""
     s, levels = _levels(mesh, alpha)
     return s, levels[0][0], partial(_cycle, levels)
 
@@ -373,29 +369,6 @@ def conjugate_gradients(a, b, precondition):
     raise SolverError(f"CG did not reach rtol={RTOL} within {maxiter} iterations")
 
 
-def _reduced(mesh, alpha, dirichlet):
-    """``(s, k, precondition)`` of ``dirichlet_stiffness``, assembled on the
-    ``Dirichlet`` structure ``dirichlet`` of ``mesh``."""
-    top = largest_eigenvalue(alpha)
-    if not top > 0.0:
-        raise SolverError(f"weight has no positive eigenvalue (largest {top})")
-    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
-    lines = dirichlet.lines(_along(scaled))  # before the entries: their peaks do not add
-    k = _scatter(_sums(mesh, _stiffness_entries(mesh, scaled)), dirichlet.pattern)
-    return s, k, _line_factor(k, lines)
-
-
-def dirichlet_stiffness(mesh, alpha):
-    """``(s, k, precondition)``: the reduced stiffness ``k`` of alpha / s and its
-    line preconditioner, for the power of two s <= lambda_max(alpha) < 2 s.
-    Any weight magnitude thus stays in float range, and every product with
-    ``k`` and every apply is exactly 1/s of the unscaled one.  Built on the
-    structure the mesh keeps, ``mesh.dirichlet``, for the systems that repeat
-    on one mesh: the oracle's weights and V-cycle levels."""
-    return _reduced(mesh, alpha, mesh.dirichlet)
-
-
 def solve_diffusion(mesh, alpha, f):
     """Galerkin solution of the diffusion problem with source f: a constant,
     or a callable f(x, y) interpolated at the vertices.  A solve of one weight
@@ -404,7 +377,7 @@ def solve_diffusion(mesh, alpha, f):
     nodal_f = f(mesh.vertices[:, 0], mesh.vertices[:, 1]) if callable(f) else float(f)
     free = mesh.interior_vertices
     b = lumped_load(mesh, nodal_f)[free]
-    s, k, precondition = _reduced(mesh, alpha, Dirichlet(mesh))
+    s, k, precondition = Dirichlet(mesh).stiffness(alpha)
     x, iters = conjugate_gradients(k, b, precondition)  # s times the solution
     values = np.zeros(mesh.num_vertices)
     with np.errstate(over="ignore"):

@@ -105,7 +105,8 @@ class TriMesh:
         """``fem.Dirichlet`` of this mesh: the part of its Dirichlet systems
         that no weight enters (the reduced CSR pattern, the grid lines and the
         reduced mass), built on first read and kept for the systems that
-        repeat on this mesh, the oracle's.  It refers to the mesh weakly."""
+        repeat on this mesh, the oracle's; its ``stiffness(alpha)`` builds
+        each V-cycle level.  It refers to the mesh weakly."""
         from .fem import Dirichlet  # fem, not the mesh, knows the systems
 
         return Dirichlet(self)
@@ -214,8 +215,10 @@ def _finalize(vertices, triangles, domain, n, level):
     )
 
 
-def _build_grid(n, keep, domain, level):
-    """Triangulate the cells ``(i, j)`` of an n x n grid with ``keep[i, j]``.
+def _build_grid(n, keep):
+    """``(vertices, triangles)`` of the cells ``(i, j)`` of an n x n grid with
+    ``keep[i, j]``, for ``_finalize``: the lattice and corner columns made
+    here are freed before it runs.
 
     Vertices and cells are numbered row by row from y = 0 (``j`` outer,
     ``i`` inner); each cell gives the triangles (a, b, c) and (a, c, d) of
@@ -234,8 +237,7 @@ def _build_grid(n, keep, domain, level):
     b = index[cj, ci + 1]
     c = index[cj + 1, ci + 1]
     d = index[cj + 1, ci]
-    triangles = np.column_stack((a, b, c, a, c, d)).reshape(-1, 3)
-    return _finalize(vertices, triangles, domain, n, level)
+    return vertices, np.column_stack((a, b, c, a, c, d)).reshape(-1, 3)
 
 
 def build_lshape(level):
@@ -245,7 +247,7 @@ def build_lshape(level):
     n = 16 * 2**level
     keep = np.ones((n, n), dtype=bool)
     keep[n // 2 :, : n // 2] = False
-    return _build_grid(n, keep, "lshape", level)
+    return _finalize(*_build_grid(n, keep), "lshape", n, level)
 
 
 def build_unit_square(n):
@@ -255,7 +257,7 @@ def build_unit_square(n):
         raise MeshError(f"n must be at least 1, got {n}")
     if n > 16 * 2**MAX_LEVEL:
         raise MeshError(f"n = {n} exceeds the refinement guard")
-    return _build_grid(n, np.ones((n, n), dtype=bool), "square", n)
+    return _finalize(*_build_grid(n, np.ones((n, n), dtype=bool)), "square", n, n)
 
 
 def prolongation(coarse, fine):

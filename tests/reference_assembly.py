@@ -1,5 +1,6 @@
-"""P1 assembly by the 9-triplet scatter: the reference the edge-table
-assembly is checked against.
+"""P1 assembly by the 9-triplet scatter, and the boundary elimination by
+slicing: the references the edge-table assembly and the direct reduced
+assembly are checked against.
 
 Each triangle contributes its whole (3, 3) local matrix as nine COO
 triplets, and scipy sums the duplicates; the package assembles the same
@@ -32,3 +33,11 @@ def mass_by_triplets(mesh):
     """Consistent P1 mass matrix from the reference local matrix."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     return scatter_local(mesh, ref[None, :, :] * mesh.areas[:, None, None])
+
+
+def reduce_system(matrix, mesh):
+    """The CSR system over the interior vertices: the full matrix with its
+    boundary rows, then its boundary columns, sliced away.  The package
+    assembles that system directly, and must give the same bits."""
+    free = mesh.interior_vertices
+    return matrix[free][:, free]

@@ -19,17 +19,15 @@ from fria.fem import (
     assemble_stiffness,
     conjugate_gradients,
     energy_norm,
-    line_preconditioner,
     lumped_load,
     multigrid_stiffness,
-    reduce_system,
     solve_diffusion,
 )
 from fria.friedrichs import best_bound
 import fria
 from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
-from reference_assembly import mass_by_triplets, stiffness_by_triplets
+from reference_assembly import mass_by_triplets, reduce_system, stiffness_by_triplets
 from reference_quadrature import rolled_square, tiny_triangle_soup
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -210,7 +208,7 @@ class TestAssembly:
     @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
     def test_direct_reduced_stiffness_is_the_sliced_one(self, mesh_cache, mesh_name, alpha):
         m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
-        s, got, _ = fem.dirichlet_stiffness(m, alpha)
+        s, got, _ = m.dirichlet.stiffness(alpha)
         scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
         _assert_same_csr(got, reduce_system(assemble_stiffness(m, scaled), m))
 
@@ -222,7 +220,7 @@ class TestAssembly:
     def test_kept_pattern_is_read_only(self, mesh_cache):
         # the matrices of every weight share it: an in-place edit of one raises
         m = mesh_cache("square", 8)
-        k = fem.dirichlet_stiffness(m, ANISO)[1]
+        k = m.dirichlet.stiffness(ANISO)[1]
         assert not any(part.flags.writeable for part in m.dirichlet.pattern)
         assert np.shares_memory(k.indices, m.dirichlet.pattern[1])
 
@@ -290,21 +288,20 @@ class TestEnergyNorm:
 class TestConjugateGradients:
     def test_nonconvergence_raises(self, mesh_cache, monkeypatch):
         m = mesh_cache("square", 8)
-        system = reduce_system(assemble_stiffness(m, IDENT), m)
+        _, system, precondition = m.dirichlet.stiffness(IDENT)
         b = np.ones(system.shape[0])
-        precondition = line_preconditioner(system, m, IDENT)
         monkeypatch.setattr(fem, "_ITERS_PER_UNKNOWN", 0)
         with pytest.raises(SolverError, match="did not reach rtol=1e-10 within 0 iterations"):
             conjugate_gradients(system, b, precondition)
 
     def test_overflowing_inner_product_raises(self, mesh_cache):
         m = mesh_cache("square", 8)
-        system = reduce_system(assemble_stiffness(m, IDENT), m)
+        _, system, precondition = m.dirichlet.stiffness(IDENT)
         b = np.full(system.shape[0], 1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="float range"):
-                conjugate_gradients(system, b, line_preconditioner(system, m, IDENT))
+                conjugate_gradients(system, b, precondition)
 
     def test_indefinite_detected(self):
         system = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -329,19 +326,19 @@ class TestLinePreconditioner:
     @pytest.mark.parametrize("alpha, cross", CROSS, ids=["x", "y", "full", "tie"])
     def test_solves_the_line_blocks(self, mesh_cache, domain, k, alpha, cross):
         m = mesh_cache(domain, k)
-        system = _system(m, alpha)
+        _, system, apply = m.dirichlet.stiffness(alpha)
         y = m.vertices[m.interior_vertices, cross]
         blocks = np.where(y[:, None] == y[None, :], system.toarray(), 0.0)
         r = np.random.default_rng(k).standard_normal(system.shape[0])
         expected = np.linalg.solve(blocks, r)
-        z = line_preconditioner(system, m, alpha)(r)
+        z = apply(r)
         assert np.linalg.norm(z - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("domain, k", [("lshape", 1), ("square", 9)])
     @pytest.mark.parametrize("alpha", [ANISO, ANISO_Y, FULL], ids=["x", "y", "full"])
     def test_symmetric(self, mesh_cache, domain, k, alpha):
         m = mesh_cache(domain, k)
-        apply = line_preconditioner(_system(m, alpha), m, alpha)
+        apply = m.dirichlet.stiffness(alpha)[2]
         r1, r2 = np.random.default_rng(3).standard_normal((2, len(m.interior_vertices)))
         z1, z2 = apply(r1), apply(r2)
         assert r2 @ z1 == pytest.approx(r1 @ z2, rel=1e-13)
@@ -349,7 +346,7 @@ class TestLinePreconditioner:
 
     def test_repeated_applies_agree(self, mesh_cache):
         m = mesh_cache("lshape", 1)
-        apply = line_preconditioner(_system(m, ANISO_Y), m, ANISO_Y)
+        apply = m.dirichlet.stiffness(ANISO_Y)[2]
         r1, r2 = np.random.default_rng(4).standard_normal((2, len(m.interior_vertices)))
         first = apply(r1)
         apply(r2)
@@ -379,7 +376,7 @@ class TestLinePreconditioner:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="not positive definite"):
-                line_preconditioner(system, m, ANISO)
+                fem._line_factor(system, m.dirichlet.lines(0))  # along x, as for ANISO
 
     def test_pivot_too_small_to_invert_raises(self, mesh_cache):
         # the pivots are subnormal, so their reciprocals overflow
@@ -389,7 +386,7 @@ class TestLinePreconditioner:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="too small to invert"):
-                line_preconditioner(system, m, tiny)
+                fem._line_factor(system, m.dirichlet.lines(0))  # along x, the tie
 
     def test_anisotropic_iterations_do_not_depend_on_the_axis(self, mesh_cache):
         counts = [
@@ -480,7 +477,7 @@ class TestMultigrid:
     def test_vcycle_is_symmetric_positive(self, mesh_cache, domain, k, alpha):
         m = mesh_cache(domain, k)
         _, system, apply = multigrid_stiffness(m, alpha)
-        line = fem.dirichlet_stiffness(m, alpha)[2]
+        line = m.dirichlet.stiffness(alpha)[2]
         x, y = np.random.default_rng(5).standard_normal((2, system.shape[0]))
         bx, by = apply(x), apply(y)
         assert abs(x @ by - y @ bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(by)
@@ -500,7 +497,7 @@ class TestMultigrid:
     def test_one_level_cycle_is_the_line_apply(self, mesh_cache, build):
         m = build(mesh_cache)
         apply = multigrid_stiffness(m, ANISO)[2]
-        line = fem.dirichlet_stiffness(m, ANISO)[2]
+        line = m.dirichlet.stiffness(ANISO)[2]
         x = np.random.default_rng(7).standard_normal(len(m.interior_vertices))
         assert np.array_equal(apply(x), line(x))
 
@@ -513,12 +510,12 @@ class TestMultigrid:
         assert np.array_equal(apply(r1), first)
 
     def test_indefinite_coarsest_level_raises(self, mesh_cache, monkeypatch):
-        build = fem.dirichlet_stiffness
+        build = fem.Dirichlet.stiffness
 
-        def negated_on_n16(mesh, alpha):
-            s, k, line = build(mesh, alpha)
-            return (s, -k, line) if mesh.n == 16 else (s, k, line)
+        def negated_on_n16(self, alpha):
+            s, k, line = build(self, alpha)
+            return (s, -k, line) if self._mesh().n == 16 else (s, k, line)
 
-        monkeypatch.setattr(fem, "dirichlet_stiffness", negated_on_n16)
+        monkeypatch.setattr(fem.Dirichlet, "stiffness", negated_on_n16)
         with pytest.raises(SolverError, match="not positive definite"):
             multigrid_stiffness(mesh_cache("square", 32), IDENT)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fria.fem import assemble_mass, assemble_stiffness, dirichlet_stiffness
+from fria.fem import assemble_mass, assemble_stiffness
 from fria.mesh import (
     MeshError,
     build_lshape,
@@ -108,17 +108,18 @@ class TestMemory:
             resident, build_peak = (b - start for b in tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            dirichlet_stiffness(m, DiagonalWeight((1.0, 1e-4)))
+            m.dirichlet.stiffness(DiagonalWeight((1.0, 1e-4)))
             assembly_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         nt = m.num_triangles
         # int32 index tables and float64 signs hold 173 (int64 tables: 221)
         assert resident / nt <= 180
-        # the edge sort and the geometry peak at 251 in all (np.unique's sort with
-        # its index, inverse and counts, and a masked normal flip: 263; int64
-        # tables: 322)
-        assert build_peak / nt <= 254
+        # the edge sort and the geometry peak at 223 in all, with the grid's
+        # lattice and corner columns freed first (kept alive: 251; np.unique's
+        # sort with its index, inverse and counts, and a masked normal flip: 263;
+        # int64 tables: 322)
+        assert build_peak / nt <= 226
         # assembly on the interior pattern peaks at 118 with the structure the
         # mesh keeps (the Neumann COO and its two-step slice: 151; the 9-triplet
         # scatter: 308)

@@ -8,13 +8,14 @@ import pytest
 import scipy.linalg
 
 from fria import fem, manufactured, mesh, oracle
-from fria.fem import SolverError, assemble_mass, assemble_stiffness, reduce_system, solve_diffusion
+from fria.fem import SolverError, assemble_mass, assemble_stiffness, solve_diffusion
 from fria.flux import rt_average
 from fria.friedrichs import coarse_bound, diagonal_bound, full_bound
 from fria.majorant import evaluate_majorant
 from fria.mesh import build_lshape, build_unit_square, prolongation
 from fria.oracle import estimate_cfa, reference_energy_error
 from fria.weights import DiagonalWeight, DInterval, FullWeight
+from reference_assembly import reduce_system
 from reference_quadrature import rolled_square
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -105,7 +106,9 @@ class TestEigenEstimate:
         m = build(mesh_cache)
         w = DiagonalWeight((1.0, 1e-2))
         est = estimate_cfa(m, w)
-        monkeypatch.setattr(oracle, "multigrid_stiffness", fem.dirichlet_stiffness)
+        monkeypatch.setattr(
+            oracle, "multigrid_stiffness", lambda grid, alpha: grid.dirichlet.stiffness(alpha)
+        )
         line = estimate_cfa(m, w)
         assert est == line
 

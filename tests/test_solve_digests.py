@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fria.fem import dirichlet_stiffness, solve_diffusion
+from fria.fem import solve_diffusion
 from fria.flux import defect_norm, residual_norm, rt_average
 from fria.mesh import build_lshape
 from fria.weights import DiagonalWeight, FullWeight
@@ -32,7 +32,7 @@ def sha(array):
 
 
 def solve_record(mesh, alpha):
-    k = dirichlet_stiffness(mesh, alpha)[1]
+    k = mesh.dirichlet.stiffness(alpha)[1]
     solution = solve_diffusion(mesh, alpha, 1.0)
     field = rt_average(solution, alpha)
     return {

@@ -13,7 +13,10 @@ of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
 as ``estimate_cfa`` reads it) for the three deltas of ``oracle_cfa`` on a
 fresh n = 128 square, the fastest of 5.  ``mesh_layer_s`` times the mesh
 layer the same way, the fastest of 5 each: ``build_lshape(5)``,
-``build_unit_square(128)`` and ``validate`` of that square.  Then
+``build_unit_square(128)`` and ``validate`` of that square.
+``mesh_build_peak_b_per_tri`` is the tracemalloc peak of ``build_lshape(4)``
+per triangle, with ``scipy.sparse`` imported first, as ``TestMemory`` counts
+it.  Then
 ``python -m fria.cli experiment table2 --levels 5``, ``--levels 6`` and
 ``--levels 7`` (6.29M triangles, about 2.1 GB at peak) run each in a child
 process of its own, with ``PYTHONPATH=src``; the file keeps the wall time of
@@ -40,6 +43,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy
@@ -107,6 +111,22 @@ def _mesh_layer_s():
         "build_unit_square(128)": _best_of_5(lambda: mesh.build_unit_square(128)),
         "validate(square 128)": _best_of_5(lambda: mesh.validate(square)),
     }
+
+
+def _mesh_build_peak_b_per_tri():
+    """tracemalloc peak of ``build_lshape(4)`` per triangle, in this process."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import scipy.sparse  # noqa: F401  (loaded before the count, as in TestMemory)
+    from fria import mesh
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        m = mesh.build_lshape(4)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / m.num_triangles
 
 
 def _code_lines(path):
@@ -180,6 +200,7 @@ def main():
         "oracle_cfa_steps": _oracle_steps(),
         "oracle_cfa_setup_s": _oracle_setup_s(),
         "mesh_layer_s": _mesh_layer_s(),
+        "mesh_build_peak_b_per_tri": _mesh_build_peak_b_per_tri(),
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
         "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
