@@ -24,6 +24,9 @@ _FRIEDRICHS_FORMULAS = {"auto": friedrichs.best_bound, **friedrichs.FORMULAS}
 # bytes per triangle of the finest level at the experiment's peak, the majorant
 # norms (317 measured at level 5)
 _EXPERIMENT_BYTES_PER_TRIANGLE = 320
+# bytes per triangle at the oracle's peak, the mesh build included (469 measured
+# at level 5, 464 at n = 512)
+_ORACLE_BYTES_PER_TRIANGLE = 480
 
 
 class UsageError(ValueError):
@@ -70,6 +73,20 @@ def _available_bytes(meminfo="/proc/meminfo"):
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError):
         return math.inf
+
+
+def _refuse_unless_fits(what, triangles, bytes_per_triangle):
+    """Refuse, before any work, a run whose peak of ``bytes_per_triangle`` x
+    ``triangles`` exceeds the memory available: it would end in a kill
+    without a message."""
+    need = bytes_per_triangle * triangles
+    available = _available_bytes()
+    if need > available:
+        raise MemoryError(
+            f"{what} needs about {need / 2**30:.1f} GiB "
+            f"({bytes_per_triangle} B x {triangles} triangles), "
+            f"{available / 2**30:.1f} GiB available"
+        )
 
 
 def _weight_flag(text, flag):
@@ -161,17 +178,8 @@ def _cmd_experiment(args):
         raise UsageError("--constants needs a comma-separated list of finite positive reals")
     if not math.isfinite(args.f):
         raise UsageError(f"--f must be finite, got {args.f}")
-    # refused up front: a run that cannot fit would end in a kill without a message
-    finest = max(levels)
-    triangles = 384 * 4**finest  # of build_lshape(finest)
-    need = _EXPERIMENT_BYTES_PER_TRIANGLE * triangles
-    available = _available_bytes()
-    if need > available:
-        raise MemoryError(
-            f"level {finest} needs about {need / 2**30:.1f} GiB "
-            f"({_EXPERIMENT_BYTES_PER_TRIANGLE} B x {triangles} triangles), "
-            f"{available / 2**30:.1f} GiB available"
-        )
+    finest = max(levels)  # 384 * 4**finest triangles in build_lshape(finest)
+    _refuse_unless_fits(f"level {finest}", 384 * 4**finest, _EXPERIMENT_BYTES_PER_TRIANGLE)
     sink = _solution_writer(args.solutions) if args.solutions else None
     rows = majorant.run_refinement_experiment(levels, alpha, args.f, constants, sink=sink)
     if tuple(constants) == majorant.TABLE2_CONSTANTS:
@@ -194,10 +202,17 @@ def _cmd_oracle(args):
         raise UsageError("--alpha must be 2-dimensional")
     # refuses a weight without a bound before any mesh is built
     bound = friedrichs.best_bound(DInterval((1.0, 1.0)), alpha).value
+    # a size above the builders' guards is left to their MeshError
     if args.domain == "square":
-        mesh = build_unit_square(64 if args.n is None else args.n)
+        n = 64 if args.n is None else args.n
+        if n <= 16 * 2**MAX_LEVEL:
+            _refuse_unless_fits(f"n = {n}", 2 * n * n, _ORACLE_BYTES_PER_TRIANGLE)
+        mesh = build_unit_square(n)
     else:
-        mesh = build_lshape(0 if args.level is None else args.level)
+        level = 0 if args.level is None else args.level
+        if level <= MAX_LEVEL:
+            _refuse_unless_fits(f"level {level}", 384 * 4**level, _ORACLE_BYTES_PER_TRIANGLE)
+        mesh = build_lshape(level)
     estimate = oracle.estimate_cfa(mesh, alpha)
     payload = {
         "lambda_min": estimate.lambda_min,

@@ -1,15 +1,15 @@
 """P1 Galerkin assembly and solve for the diffusion problem.
 
 The stiffness integrand is constant per triangle, so assembly is exact.
-Every matrix is gathered from per-vertex and per-edge sums into a CSR
-pattern that scipy's COO to CSR conversion sorts (``_pattern``).
-Homogeneous Dirichlet conditions are imposed by eliminating boundary rows
-and columns, which keeps the reduced system exactly symmetric positive
-definite; ``Dirichlet.stiffness`` assembles it directly on the interior rows
-and columns, whose pattern no weight enters, with its line-relaxation
-preconditioner.  The solver is conjugate gradients with a deterministic,
-fixed-order accumulation; the eigenvalue oracle takes the same system with a
-V-cycle that smooths by that relaxation.
+Every system is the homogeneous Dirichlet one, on the interior vertices
+alone: the boundary rows and columns are never assembled, which keeps it
+exactly symmetric positive definite.  Its matrices are gathered from
+per-vertex and per-edge sums into the interior CSR pattern that scipy's COO
+to CSR conversion sorts (``_pattern``), which no weight enters;
+``Dirichlet.stiffness`` assembles the stiffness on it with its
+line-relaxation preconditioner.  The solver is conjugate gradients with a
+deterministic, fixed-order accumulation; the eigenvalue oracle takes the
+same system with a V-cycle that smooths by that relaxation.
 """
 
 import math
@@ -19,7 +19,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .weights import FullWeight, largest_eigenvalue
+from .weights import largest_eigenvalue
 
 # relative residual of the Galerkin solves
 RTOL = 1e-10
@@ -49,19 +49,20 @@ class P1Solution:
         return np.einsum("tj,tjx->tx", np.take(self.values, self.mesh.triangles), self.mesh.grads)
 
 
-def _pattern(mesh, keep):
+def _pattern(mesh):
     """``(indptr, indices, gather)``: the canonical CSR pattern of a P1 matrix
-    over the vertices with ``keep``, numbered in order, and for each entry the
+    over the interior vertices, numbered in order, and for each entry the
     index of its value in ``_sums``: the vertex's own sum on the diagonal,
     edge e's at ``nv + e`` off it.
 
     A P1 matrix is nonzero only on the diagonal and on the edges, so the
-    triplets are the diagonal, each kept edge (i, j) and its mirror (j, i);
+    triplets are the diagonal, each interior edge (i, j) and its mirror (j, i);
     scipy's COO to CSR conversion sorts each row by column.  All arrays are
     int32, as scipy stores the CSR indices of fewer than 2**31 vertices."""
     import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
 
     nv = mesh.num_vertices
+    keep = ~mesh.boundary_vertex
     renumber = np.cumsum(keep, dtype=np.int32) - 1
     n = int(renumber[-1]) + 1 if nv else 0
     lo, hi = mesh.edges.T
@@ -81,24 +82,16 @@ def _pattern(mesh, keep):
     return csr.indptr, csr.indices, csr.data
 
 
-def _neumann(mesh):
-    """The pattern of the full (Neumann) matrix."""
-    return _pattern(mesh, np.ones(mesh.num_vertices, dtype=bool))
-
-
-def _stiffness_entries(mesh, alpha):
-    """Yields each triangle's (nt, 3) diagonal entries |T| (G alpha G^T)_jj,
-    then its (nt, 3) shares of its edges' entries, edge j opposite local
-    vertex j: the mean of |T| (G alpha G^T)_ik and _ki over its other two
-    vertices i and k, which makes the matrix exactly symmetric despite
-    rounding.  Each is made once ``_sums`` has dropped the one before, and
-    one row of G alpha is alive at a time."""
-    a = np.asarray(alpha.matrix, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError("diffusion assembly needs a 2x2 weight")
+def _stiffness_entries(mesh, a):
+    """Yields each triangle's (nt, 3) diagonal entries |T| (G a G^T)_jj for
+    the (2, 2) float array ``a``, then its (nt, 3) shares of its edges'
+    entries, edge j opposite local vertex j: the mean of |T| (G a G^T)_ik and
+    _ki over its other two vertices i and k, which makes the matrix exactly
+    symmetric despite rounding.  Each is made once ``_sums`` has dropped the
+    one before, and one row of G a is alive at a time."""
     g = mesh.grads
 
-    def local(ga, j):  # |T| (G alpha G^T)_ij of every triangle, for ga row i of G alpha
+    def local(ga, j):  # |T| (G a G^T)_ij of every triangle, for ga row i of G a
         return (ga[:, None, :] @ g[:, j, :, None])[:, 0, 0] * mesh.areas
 
     diagonal = np.empty((len(g), 3))
@@ -136,24 +129,14 @@ def _sums(mesh, entries):
 
 
 def _scatter(sums, pattern):
-    """The CSR matrix on ``pattern`` of ``_sums``: each vertex's sum once on
-    the diagonal, each edge's twice, mirrored.  Full and reduced matrices
-    both come from here."""
+    """The CSR matrix on ``pattern`` of ``_sums``: each interior vertex's sum
+    once on the diagonal, each interior edge's twice, mirrored.  The reduced
+    stiffness and mass of ``Dirichlet`` both come from here."""
     import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
 
     indptr, indices, gather = pattern
     n = len(indptr) - 1
     return sp.csr_matrix((np.take(sums, gather), indices, indptr), shape=(n, n))
-
-
-def assemble_stiffness(mesh, alpha):
-    """Full (Neumann) stiffness with entries int_T (alpha grad phi_j) . grad phi_i."""
-    return _scatter(_sums(mesh, _stiffness_entries(mesh, alpha)), _neumann(mesh))
-
-
-def assemble_mass(mesh):
-    """Consistent P1 mass matrix (exact, not lumped)."""
-    return _scatter(_sums(mesh, _mass_entries(mesh)), _neumann(mesh))
 
 
 def lumped_load(mesh, nodal_f):
@@ -227,18 +210,19 @@ def _line_factor(a, layout):
 class Dirichlet:
     """The part of every Dirichlet system over one mesh that no weight enters.
 
-    ``pattern`` is the ``_pattern`` of the interior vertices, on which the
-    reduced matrices are assembled directly.  ``lines(along)``, the
-    ``_line_layout`` of the interior vertices along each axis, and ``mass``,
-    the reduced consistent mass matrix, are built on first use;
-    ``stiffness(alpha)`` assembles the reduced stiffness on it.  The mesh is
-    held by a weak reference, so a mesh that keeps its ``Dirichlet``
-    (``TriMesh.dirichlet``) is freed by reference count alone.
+    ``pattern`` is the ``_pattern`` of the interior vertices, on which every
+    matrix is assembled.  ``lines(along)``, the ``_line_layout`` of the
+    interior vertices along each axis, and ``mass``, the consistent mass
+    matrix (exact, not lumped), are built on first use; ``stiffness(alpha)``
+    assembles the stiffness, with entries int_T (alpha grad phi_j) . grad
+    phi_i, on it.  The mesh is held by a weak reference, so a mesh that keeps
+    its ``Dirichlet`` (``TriMesh.dirichlet``) is freed by reference count
+    alone.
     """
 
     def __init__(self, mesh):
         self._mesh = weakref.ref(mesh)
-        self.pattern = _pattern(mesh, ~mesh.boundary_vertex)
+        self.pattern = _pattern(mesh)
         for part in self.pattern:
             part.flags.writeable = False  # every matrix on the pattern shares it
         self._lines = {}
@@ -255,50 +239,29 @@ class Dirichlet:
         mesh = self._mesh()
         return _scatter(_sums(mesh, _mass_entries(mesh)), self.pattern)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def stiffness(self, alpha):
         """``(s, k, precondition)``: the reduced stiffness ``k`` of alpha / s
         and its line preconditioner, for the power of two s <= lambda_max(alpha)
         < 2 s.  Any weight magnitude thus stays in float range, and every
         product with ``k`` and every apply is exactly 1/s of the unscaled one.
         The lines run along alpha's larger diagonal entry (x on a tie); see
-        ``_line_factor``."""
+        ``_line_factor``.  A weight that is not 2x2 is refused before any of
+        it is built; an indefinite one whose entries overflow when scaled
+        fills ``k`` with inf or nan, unwarned, and the line factor refuses
+        it."""
+        if alpha.d != 2:
+            raise ValueError("diffusion assembly needs a 2x2 weight")
         top = largest_eigenvalue(alpha)
         if not top > 0.0:
             raise SolverError(f"weight has no positive eigenvalue (largest {top})")
         s = math.ldexp(1.0, math.frexp(top)[1] - 1)
-        scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
+        a = np.asarray(alpha.matrix, dtype=float) / s  # exact: s is a power of two
         # the lines before the entries: their peaks do not add
-        lines = self.lines(int(scaled.matrix[1][1] > scaled.matrix[0][0]))
+        lines = self.lines(int(a[1, 1] > a[0, 0]))
         mesh = self._mesh()
-        k = _scatter(_sums(mesh, _stiffness_entries(mesh, scaled)), self.pattern)
+        k = _scatter(_sums(mesh, _stiffness_entries(mesh, a)), self.pattern)
         return s, k, _line_factor(k, lines)
-
-
-def _levels(mesh, alpha):
-    """``(s, levels)``: the V-cycle's levels from ``mesh`` down, each
-    ``(k, smooth, p, r)``.  k and smooth are the ``Dirichlet.stiffness`` of
-    the level's kept ``TriMesh.dirichlet``, so all levels share the scale s;
-    p and r are the interior prolongation from the next level and its
-    transpose, read from ``TriMesh.coarser``, and None on the last level.
-    Coarsening stops at ``_COARSEST`` unknowns or at a mesh with no coarser
-    one.  Below the first level, a last level of at most ``_COARSEST``
-    unknowns is solved by a dense Cholesky factor in place of its line
-    apply."""
-    s, k, smooth = mesh.dirichlet.stiffness(alpha)
-    levels = []
-    fine = mesh
-    while k.shape[0] > _COARSEST and (link := fine.coarser) is not None:
-        fine, p, r = link
-        levels.append((k, smooth, p, r))
-        _, k, smooth = fine.dirichlet.stiffness(alpha)
-    if levels and k.shape[0] <= _COARSEST:
-        try:
-            root = np.linalg.inv(np.linalg.cholesky(k.toarray()))
-        except np.linalg.LinAlgError:
-            raise SolverError("stiffness is not positive definite") from None
-        smooth = (root.T @ root).dot  # the inverse of k
-    levels.append((k, smooth, None, None))
-    return s, levels
 
 
 def _cycle(levels, r):
@@ -322,12 +285,31 @@ def _cycle(levels, r):
 
 
 def multigrid_stiffness(mesh, alpha):
-    """``mesh.dirichlet.stiffness(alpha)`` with a symmetric V(1,1) cycle over
-    ``_levels`` as ``precondition``; with no coarser level, a one-level
-    cycle: the line apply.  Only the weight-dependent part is built here: the
-    meshes and transfers come from the ``TriMesh.coarser`` chain, built once
-    per mesh."""
-    s, levels = _levels(mesh, alpha)
+    """``mesh.dirichlet.stiffness(alpha)`` with a symmetric V(1,1) cycle
+    (``_cycle``) as ``precondition``.  Its levels run from ``mesh`` down, each
+    ``(k, smooth, p, r)``: k and smooth are the ``Dirichlet.stiffness`` of the
+    level's kept ``TriMesh.dirichlet``, so all levels share the scale s; p and
+    r are the interior prolongation from the next level and its transpose,
+    read from ``TriMesh.coarser``, and None on the last level.  Coarsening
+    stops at ``_COARSEST`` unknowns or at a mesh with no coarser one.  Below
+    the first level, a last level of at most ``_COARSEST`` unknowns is solved
+    by a dense Cholesky factor in place of its line apply; with no coarser
+    level, the cycle is the line apply.  Only the weight-dependent part is
+    built here: the meshes and transfers come from the chain, built once per
+    mesh."""
+    s, k, smooth = mesh.dirichlet.stiffness(alpha)
+    levels = []
+    while k.shape[0] > _COARSEST and (link := mesh.coarser) is not None:
+        mesh, p, r = link
+        levels.append((k, smooth, p, r))
+        _, k, smooth = mesh.dirichlet.stiffness(alpha)
+    if levels and k.shape[0] <= _COARSEST:
+        try:
+            root = np.linalg.inv(np.linalg.cholesky(k.toarray()))
+        except np.linalg.LinAlgError:
+            raise SolverError("stiffness is not positive definite") from None
+        smooth = (root.T @ root).dot  # the inverse of k
+    levels.append((k, smooth, None, None))
     return s, levels[0][0], partial(_cycle, levels)
 
 

@@ -1,14 +1,16 @@
 """P1 assembly by the 9-triplet scatter, and the boundary elimination by
-slicing: the references the edge-table assembly and the direct reduced
-assembly are checked against.
+slicing: the references the package's direct reduced assembly is checked
+against.
 
 Each triangle contributes its whole (3, 3) local matrix as nine COO
 triplets, and scipy sums the duplicates; the package assembles the same
-matrices from the diagonal and the edges alone.
+matrices on the interior vertices from the diagonal and the edges alone.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from fria import fem
 
 
 def scatter_local(mesh, local):
@@ -41,3 +43,12 @@ def reduce_system(matrix, mesh):
     assembles that system directly, and must give the same bits."""
     free = mesh.interior_vertices
     return matrix[free][:, free]
+
+
+def row_sums(mesh, alpha):
+    """Each vertex's row sum of the full stiffness of ``alpha``, from the
+    package's own per-vertex and per-edge sums: its diagonal sum plus the
+    sums of its edges."""
+    sums = fem._sums(mesh, fem._stiffness_entries(mesh, np.asarray(alpha.matrix, dtype=float)))
+    nv = mesh.num_vertices
+    return sums[:nv] + np.bincount(mesh.edges.ravel(), np.repeat(sums[nv:], 2), nv)

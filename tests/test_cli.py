@@ -338,6 +338,33 @@ class TestErrors:
         assert f"{384 * 4 ** int(finest)} triangles" in err
         assert path.read_bytes() == b"kept\n" and not solutions.exists()
 
+    @pytest.mark.parametrize(
+        "size, line",
+        [
+            (["--n", "4096"], "n = 4096 needs about 15.0 GiB (480 B x 33554432 triangles)"),
+            (
+                ["--domain", "lshape", "--level", "8"],
+                "level 8 needs about 11.2 GiB (480 B x 25165824 triangles)",
+            ),
+        ],
+        ids=["n4096", "L8"],
+    )
+    def test_oracle_size_that_cannot_fit_is_refused_before_any_mesh(
+        self, capsys, monkeypatch, tmp_path, size, line
+    ):
+        from fria import cli, oracle
+
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 7.7e9)
+        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(cli, "build_lshape", None)
+        monkeypatch.setattr(oracle, "estimate_cfa", None)
+        path = tmp_path / "estimate.json"
+        path.write_bytes(b"kept\n")
+        code, out, err = run(capsys, "oracle", "cfa", *size, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == f"fria: {line}, 7.2 GiB available\n"
+        assert path.read_bytes() == b"kept\n"
+
     def test_available_memory_falls_back_to_free_pages(self, tmp_path):
         from fria.cli import _available_bytes
 

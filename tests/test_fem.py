@@ -15,8 +15,6 @@ import scipy.sparse.linalg as spla
 from fria.fem import (
     P1Solution,
     SolverError,
-    assemble_mass,
-    assemble_stiffness,
     conjugate_gradients,
     energy_norm,
     lumped_load,
@@ -27,7 +25,7 @@ from fria.friedrichs import best_bound
 import fria
 from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
-from reference_assembly import mass_by_triplets, reduce_system, stiffness_by_triplets
+from reference_assembly import mass_by_triplets, reduce_system, row_sums, stiffness_by_triplets
 from reference_quadrature import rolled_square, tiny_triangle_soup
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -39,7 +37,7 @@ ROTATED = FullWeight(((0.50005, 0.49995), (0.49995, 0.50005)))
 # a weight whose optimized stiffness contraction rounds differently
 SKEWED = FullWeight(((3.0, -1.2), (-1.2, 0.7)))
 
-# meshes on which the edge-table assembly must equal the triplet scatter
+# meshes on which the direct reduced assembly must equal the sliced triplet scatter
 ASSEMBLY_MESHES = {
     "lshape0": lambda c: c("lshape", 0),
     "lshape1": lambda c: c("lshape", 1),
@@ -57,6 +55,9 @@ ASSEMBLY_MESHES = {
 # orders give the same bits on the L-shapes and the power-of-two squares
 # the commands build, but not on these meshes, where they differ in the last bit.
 ORDER_SENSITIVE = {"square3", "rolled8-1"}
+
+# the two entry points that assemble a stiffness, as (mesh, weight) -> result
+ENTRIES = [lambda m, w: solve_diffusion(m, w, 1.0), lambda m, w: fria.estimate_cfa(m, w)]
 
 # n -> infinity energy of -div grad u = 1 on the unit square, computed on
 # the n=256 mesh (the independent Fourier series gives 0.18746801)
@@ -155,9 +156,7 @@ class TestAssembly:
             ("lshape", 1, ANISO),
             ("square", 8, FullWeight(((2.0, 0.5), (0.5, 1.0)))),
         ]:
-            k_full = assemble_stiffness(mesh_cache(dom, k), alpha)
-            sums = np.asarray(k_full.sum(axis=1)).ravel()
-            assert np.abs(sums).max() <= 1e-12
+            assert np.abs(row_sums(mesh_cache(dom, k), alpha)).max() <= 1e-12
 
     @pytest.mark.parametrize("alpha", [ANISO, FULL, SKEWED], ids=["aniso", "full", "skewed"])
     @pytest.mark.parametrize("mesh_name", ["rolled", "lshape1"])
@@ -173,33 +172,10 @@ class TestAssembly:
                     value = area * (g[i] @ a @ g[j])
                     want[tri[i], tri[j]] += value
                     scale[tri[i], tri[j]] += abs(value)
-        got = assemble_stiffness(m, alpha).toarray()
-        assert np.all(np.abs(got - want) <= 1e-15 * scale)
-
-    @pytest.mark.parametrize(
-        "alpha", [ANISO, ANISO_Y, FULL, ROTATED, SKEWED],
-        ids=["aniso", "aniso_y", "full", "rotated", "skewed"],
-    )
-    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
-    def test_stiffness_bits_match_triplet_scatter(self, mesh_cache, mesh_name, alpha):
-        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
-        got, want = assemble_stiffness(m, alpha), stiffness_by_triplets(m, alpha)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.indptr, want.indptr)
-        if mesh_name not in ORDER_SENSITIVE:
-            assert np.array_equal(got.data, want.data)
-            return
-        diagonal = got.indices == np.repeat(np.arange(m.num_vertices), np.diff(got.indptr))
-        assert np.array_equal(got.data[~diagonal], want.data[~diagonal])
-        ulps = np.abs(got.data - want.data) / np.spacing(np.abs(want.data))
-        assert ulps.max() <= 2.0
-
-    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
-    def test_mass_bits_match_triplet_scatter(self, mesh_cache, mesh_name):
-        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
-        got, want = assemble_mass(m), mass_by_triplets(m)
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        s, k, _ = m.dirichlet.stiffness(alpha)
+        free = m.interior_vertices
+        got = s * k.toarray()  # exact: s is a power of two
+        assert np.all(np.abs(got - want[np.ix_(free, free)]) <= 1e-15 * scale[np.ix_(free, free)])
 
     @pytest.mark.parametrize(
         "alpha", [IDENT, ANISO, ANISO_Y, FULL, ROTATED, SKEWED],
@@ -210,12 +186,40 @@ class TestAssembly:
         m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
         s, got, _ = m.dirichlet.stiffness(alpha)
         scaled = FullWeight(tuple(tuple(a / s for a in row) for row in alpha.matrix))
-        _assert_same_csr(got, reduce_system(assemble_stiffness(m, scaled), m))
+        want = reduce_system(stiffness_by_triplets(m, scaled), m)
+        assert got.shape == want.shape
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        if mesh_name not in ORDER_SENSITIVE:
+            assert np.array_equal(got.data, want.data)
+            return
+        diagonal = got.indices == np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+        assert np.array_equal(got.data[~diagonal], want.data[~diagonal])
+        ulps = np.abs(got.data - want.data) / np.spacing(np.abs(want.data))
+        assert ulps.max() <= 2.0
 
     @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
     def test_direct_reduced_mass_is_the_sliced_one(self, mesh_cache, mesh_name):
         m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
-        _assert_same_csr(m.dirichlet.mass, reduce_system(assemble_mass(m), m))
+        _assert_same_csr(m.dirichlet.mass, reduce_system(mass_by_triplets(m), m))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["solve", "oracle"])
+    def test_weight_not_2d_refused_before_any_layout(self, monkeypatch, entry, d):
+        layouts = []
+        monkeypatch.setattr(fem, "_line_layout", lambda *args: layouts.append(args))
+        m = fria.build_unit_square(8)  # a fresh mesh: no kept layout
+        with pytest.raises(ValueError, match="^diffusion assembly needs a 2x2 weight$"):
+            entry(m, DiagonalWeight((1.0,) * d))
+        assert layouts == []
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["solve", "oracle"])
+    def test_weight_that_overflows_when_scaled_is_refused_unwarned(self, mesh_cache, entry):
+        # lambda_max = 1e-310 gives s = 2**-1030, and -1e10 / s overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not positive definite"):
+                entry(mesh_cache("square", 4), DiagonalWeight((1e-310, -1e10)))
 
     def test_kept_pattern_is_read_only(self, mesh_cache):
         # the matrices of every weight share it: an in-place edit of one raises
@@ -231,16 +235,17 @@ class TestAssembly:
 
     def test_reduced_system_exactly_symmetric(self, mesh_cache):
         m = mesh_cache("square", 8)
-        a = reduce_system(assemble_stiffness(m, ANISO), m)
+        a = m.dirichlet.stiffness(ANISO)[1]
         assert (a - a.T).nnz == 0
         assert a.shape == (len(m.interior_vertices),) * 2
 
     def test_galerkin_orthogonality(self, mesh_cache):
         m = mesh_cache("lshape", 0)
         s = solve_diffusion(m, ANISO, 1.0)
-        k_full = assemble_stiffness(m, ANISO)
-        residual = lumped_load(m, 1.0) - k_full @ s.values
-        assert np.abs(residual[m.interior_vertices]).max() <= 1e-8
+        scale, k, _ = m.dirichlet.stiffness(ANISO)
+        free = m.interior_vertices
+        residual = lumped_load(m, 1.0)[free] - scale * (k @ s.values[free])
+        assert np.abs(residual).max() <= 1e-8
 
     def test_load_is_exact_for_constant_f(self, mesh_cache):
         m = mesh_cache("square", 4)
@@ -315,7 +320,7 @@ class TestConjugateGradients:
 
 
 def _system(m, alpha):
-    return reduce_system(assemble_stiffness(m, alpha), m)
+    return reduce_system(stiffness_by_triplets(m, alpha), m)
 
 
 class TestLinePreconditioner:
@@ -450,21 +455,23 @@ class TestColdStart:
     @pytest.mark.parametrize(
         "call",
         [
-            "fria.prolongation(fria.build_unit_square(2), fria.build_unit_square(4))",
-            "fria.fem.assemble_mass(fria.build_unit_square(2))",
+            "fria.prolongation(square, fria.build_unit_square(4))",
+            "square.dirichlet.mass",
         ],
-        ids=["prolongation", "assemble_mass"],
+        ids=["prolongation", "dirichlet_mass"],
     )
     def test_sparse_constructor_works_first(self, call):
+        # square is named: a Dirichlet holds its mesh by a weak reference
         code = (
             "import json, sys\n"
             "import fria\n"
+            "square = fria.build_unit_square(2)\n"
             "assert 'scipy' not in sys.modules\n"
             f"m = {call}\n"
             "print(json.dumps([m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.tolist()]))\n"
         )
         shape, indptr, indices, data = json.loads(_fresh_python(code))
-        want = eval(call, {"fria": fria})
+        want = eval(call, {"fria": fria, "square": fria.build_unit_square(2)})
         assert tuple(shape) == want.shape
         assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
         assert np.array_equal(data, want.data)

@@ -123,3 +123,32 @@ def test_every_module_is_imported():
                 imported.add(origin.module.split(".")[1])
     leftover = sorted(p.name for p in MODULES if p.stem not in imported)
     assert leftover == [], f"modules nothing imports: {leftover}"
+
+
+def _names_read(tree):
+    """Names read as a bare name, as ``obj.name`` or by ``from m import name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_function_is_read():
+    """A public top-level function or class that neither the package (its
+    ``__init__`` exports included), the benchmark nor the tools reads is
+    kept for tests alone.  Names are matched, not modules."""
+    root = PACKAGE.parents[1]
+    sources = [p for d in (PACKAGE, root / "perfbench", root / "tools") for p in d.glob("*.py")]
+    read = {name for path in sources for name in _names_read(ast.parse(path.read_text()))}
+    defined = [
+        (path.stem, node.name)
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert len(defined) >= 40, defined
+    unread = sorted(f"{module}.{name}" for module, name in defined if name not in read)
+    assert unread == [], f"public definitions nothing outside the tests reads: {unread}"

@@ -8,14 +8,14 @@ import pytest
 import scipy.linalg
 
 from fria import fem, manufactured, mesh, oracle
-from fria.fem import SolverError, assemble_mass, assemble_stiffness, solve_diffusion
+from fria.fem import SolverError, solve_diffusion
 from fria.flux import rt_average
 from fria.friedrichs import coarse_bound, diagonal_bound, full_bound
 from fria.majorant import evaluate_majorant
 from fria.mesh import build_lshape, build_unit_square, prolongation
 from fria.oracle import estimate_cfa, reference_energy_error
 from fria.weights import DiagonalWeight, DInterval, FullWeight
-from reference_assembly import reduce_system
+from reference_assembly import mass_by_triplets, reduce_system, stiffness_by_triplets
 from reference_quadrature import rolled_square
 
 IDENT = DiagonalWeight((1.0, 1.0))
@@ -78,8 +78,8 @@ class TestEigenEstimate:
     )
     def test_matches_dense_generalized_eigensolve(self, mesh_cache, domain, k, w):
         m = mesh_cache(domain, k)
-        stiffness = reduce_system(assemble_stiffness(m, w), m).toarray()
-        mass = reduce_system(assemble_mass(m), m).toarray()
+        stiffness = reduce_system(stiffness_by_triplets(m, w), m).toarray()
+        mass = reduce_system(mass_by_triplets(m), m).toarray()
         lams = scipy.linalg.eigh(stiffness, mass, eigvals_only=True)
         # the dense solve is accurate to a small multiple of eps * lambda_max
         rounding = 4.0 * np.finfo(float).eps * lams[-1]
@@ -144,9 +144,9 @@ class TestEigenEstimate:
         patterns, masses = [], []
         pattern, mass_entries = fem._pattern, fem._mass_entries
 
-        def counted_pattern(mesh, keep):
+        def counted_pattern(mesh):
             patterns.append(mesh.n)
-            return pattern(mesh, keep)
+            return pattern(mesh)
 
         def counted_mass(mesh):
             masses.append(mesh.n)

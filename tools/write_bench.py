@@ -16,10 +16,15 @@ layer the same way, the fastest of 5 each: ``build_lshape(5)``,
 ``build_unit_square(128)`` and ``validate`` of that square.
 ``mesh_build_peak_b_per_tri`` is the tracemalloc peak of ``build_lshape(4)``
 per triangle, with ``scipy.sparse`` imported first, as ``TestMemory`` counts
-it.  Then
-``python -m fria.cli experiment table2 --levels 5``, ``--levels 6`` and
-``--levels 7`` (6.29M triangles, about 2.1 GB at peak) run each in a child
-process of its own, with ``PYTHONPATH=src``; the file keeps the wall time of
+it.  ``calibration_s`` is the fastest of 5 timings of a fixed numpy kernel
+that no fria code and no BLAS call enters (``np.sort`` of 2**21 seeded
+float64 values, then ``np.cumsum``), so that the series can tell a faster or
+slower machine from a change of code.  Then ``python -m fria.cli experiment
+table2 --levels 5``, ``--levels 6``, ``--levels 7`` (6.29M triangles, about
+2.1 GB at peak) and ``--levels 5 --alpha diag:1,1`` (about 1169 line-CG
+iterations: the isotropic weight is the one the line relaxation suits
+least) run each in a child process of its own, with ``PYTHONPATH=src``;
+the file keeps the wall time of
 each, that child's peak RSS and its user + system CPU seconds (``cpu_s``),
 read from ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark
 runs).  A wall time that moves while ``cpu_s`` stays put points at the
@@ -129,6 +134,12 @@ def _mesh_build_peak_b_per_tri():
     return peak / m.num_triangles
 
 
+def _calibration_s():
+    """Fastest of 5 timings of a sort and a running sum in numpy alone."""
+    values = numpy.random.default_rng(0).standard_normal(2**21)
+    return _best_of_5(lambda: numpy.cumsum(numpy.sort(values)))
+
+
 def _code_lines(path):
     """Lines of ``path`` that are neither blank, nor ``#`` comments, nor
     inside a module, class or function docstring."""
@@ -176,6 +187,9 @@ def main():
         f"table2 --levels {level}": _cli_run("experiment", "table2", "--levels", str(level))
         for level in (5, 6, 7)
     }
+    cli_runs["table2 --levels 5 --alpha diag:1,1"] = _cli_run(
+        "experiment", "table2", "--levels", "5", "--alpha", "diag:1,1"
+    )
     for verb in (
         "oracle cfa --n 128",
         "oracle cfa --domain lshape --level 4",
@@ -201,6 +215,7 @@ def main():
         "oracle_cfa_setup_s": _oracle_setup_s(),
         "mesh_layer_s": _mesh_layer_s(),
         "mesh_build_peak_b_per_tri": _mesh_build_peak_b_per_tri(),
+        "calibration_s": _calibration_s(),
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
         "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
