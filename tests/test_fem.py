@@ -198,6 +198,30 @@ class TestAssembly:
         ulps = np.abs(got.data - want.data) / np.spacing(np.abs(want.data))
         assert ulps.max() <= 2.0
 
+    @pytest.mark.parametrize(
+        "alpha", [ANISO, ANISO_Y, FULL, ROTATED, SKEWED],
+        ids=["aniso", "aniso_y", "full", "rotated", "skewed"],
+    )
+    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
+    def test_stiffness_bits_match_triplet_scatter(self, mesh_cache, mesh_name, alpha):
+        # the per-vertex and per-edge sums on the whole mesh, boundary included
+        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
+        sums = fem._sums(m, fem._stiffness_entries(m, np.asarray(alpha.matrix, dtype=float)))
+        got, want = _edge_table(sums, m), _edge_table_of(stiffness_by_triplets(m, alpha), m)
+        if mesh_name not in ORDER_SENSITIVE:
+            assert got.tobytes() == want.tobytes()
+            return
+        nv = m.num_vertices
+        assert np.array_equal(got[nv:], want[nv:])
+        ulps = np.abs(got[:nv] - want[:nv]) / np.spacing(np.abs(want[:nv]))
+        assert ulps.max() <= 2.0
+
+    @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
+    def test_mass_bits_match_triplet_scatter(self, mesh_cache, mesh_name):
+        m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
+        got = _edge_table(fem._sums(m, fem._mass_entries(m)), m)
+        assert got.tobytes() == _edge_table_of(mass_by_triplets(m), m).tobytes()
+
     @pytest.mark.parametrize("mesh_name", list(ASSEMBLY_MESHES))
     def test_direct_reduced_mass_is_the_sliced_one(self, mesh_cache, mesh_name):
         m = ASSEMBLY_MESHES[mesh_name](mesh_cache)
@@ -261,6 +285,23 @@ class TestAssembly:
         expected = np.zeros(m.num_vertices)
         np.add.at(expected, m.triangles.ravel(), np.repeat(m.areas / 3.0, 3))
         assert np.array_equal(lumped_load(m, nodal_f), expected * nodal_f)
+
+
+def _edge_table(sums, mesh):
+    """``fem._sums`` laid out as ``_edge_table_of`` lays out a full matrix:
+    the diagonal, then each edge (lo, hi)'s entry, then its mirror's."""
+    nv = mesh.num_vertices
+    return np.concatenate([sums[:nv], sums[nv:], sums[nv:]])
+
+
+def _edge_table_of(matrix, mesh):
+    """The diagonal of the full CSR ``matrix``, then its entries at each edge
+    (lo, hi) and at (hi, lo); it must hold no other entry."""
+    lo, hi = mesh.edges.T
+    assert matrix.nnz == mesh.num_vertices + 2 * mesh.num_edges
+    return np.concatenate(
+        [matrix.diagonal(), np.asarray(matrix[lo, hi]).ravel(), np.asarray(matrix[hi, lo]).ravel()]
+    )
 
 
 def _assert_same_csr(got, want):
