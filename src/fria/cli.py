@@ -16,7 +16,7 @@ import sys
 
 from . import friedrichs, majorant, maxwell, oracle, weights
 from .fem import SolverError
-from .mesh import MAX_LEVEL, MeshError, build_lshape, build_unit_square
+from .mesh import MAX_LEVEL, MeshError, build_lshape, build_unit_square, triangle_count
 from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 
 # --method name -> Friedrichs formula (the Maxwell arm too); also the argparse choices
@@ -75,13 +75,16 @@ def _available_bytes(meminfo="/proc/meminfo"):
         return math.inf
 
 
-def _refuse_unless_fits(what, triangles, bytes_per_triangle):
-    """Refuse, before any work, a run whose peak of ``bytes_per_triangle`` x
-    ``triangles`` exceeds the memory available: it would end in a kill
-    without a message."""
+def _refuse_unless_fits(domain, size, bytes_per_triangle):
+    """Refuse, before any work, a mesh size the builders refuse (their
+    ``MeshError``, from ``triangle_count``), or a run whose peak of
+    ``bytes_per_triangle`` per triangle of that mesh exceeds the memory
+    available: it would end in a kill without a message."""
+    triangles = triangle_count(domain, size)
     need = bytes_per_triangle * triangles
     available = _available_bytes()
     if need > available:
+        what = f"level {size}" if domain == "lshape" else f"n = {size}"
         raise MemoryError(
             f"{what} needs about {need / 2**30:.1f} GiB "
             f"({bytes_per_triangle} B x {triangles} triangles), "
@@ -178,8 +181,7 @@ def _cmd_experiment(args):
         raise UsageError("--constants needs a comma-separated list of finite positive reals")
     if not math.isfinite(args.f):
         raise UsageError(f"--f must be finite, got {args.f}")
-    finest = max(levels)  # 384 * 4**finest triangles in build_lshape(finest)
-    _refuse_unless_fits(f"level {finest}", 384 * 4**finest, _EXPERIMENT_BYTES_PER_TRIANGLE)
+    _refuse_unless_fits("lshape", max(levels), _EXPERIMENT_BYTES_PER_TRIANGLE)
     sink = _solution_writer(args.solutions) if args.solutions else None
     rows = majorant.run_refinement_experiment(levels, alpha, args.f, constants, sink=sink)
     if tuple(constants) == majorant.TABLE2_CONSTANTS:
@@ -202,17 +204,12 @@ def _cmd_oracle(args):
         raise UsageError("--alpha must be 2-dimensional")
     # refuses a weight without a bound before any mesh is built
     bound = friedrichs.best_bound(DInterval((1.0, 1.0)), alpha).value
-    # a size above the builders' guards is left to their MeshError
     if args.domain == "square":
-        n = 64 if args.n is None else args.n
-        if n <= 16 * 2**MAX_LEVEL:
-            _refuse_unless_fits(f"n = {n}", 2 * n * n, _ORACLE_BYTES_PER_TRIANGLE)
-        mesh = build_unit_square(n)
+        size, build = 64 if args.n is None else args.n, build_unit_square
     else:
-        level = 0 if args.level is None else args.level
-        if level <= MAX_LEVEL:
-            _refuse_unless_fits(f"level {level}", 384 * 4**level, _ORACLE_BYTES_PER_TRIANGLE)
-        mesh = build_lshape(level)
+        size, build = 0 if args.level is None else args.level, build_lshape
+    _refuse_unless_fits(args.domain, size, _ORACLE_BYTES_PER_TRIANGLE)
+    mesh = build(size)
     estimate = oracle.estimate_cfa(mesh, alpha)
     payload = {
         "lambda_min": estimate.lambda_min,
@@ -291,7 +288,7 @@ def main(argv=None):
                 text = args.run(args)
                 fh.truncate(0)
                 fh.write(text)
-    # the mesh builders raise MeshError only for a bad --n or --level, before any work
+    # MeshError comes only from a bad --n or --level, before any work
     except (UsageError, OSError, MeshError) as exc:
         sys.stderr.write(f"fria: {exc}\n")
         return 1

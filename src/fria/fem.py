@@ -7,9 +7,11 @@ exactly symmetric positive definite.  Its matrices are gathered from
 per-vertex and per-edge sums into the interior CSR pattern that scipy's COO
 to CSR conversion sorts (``_pattern``), which no weight enters;
 ``Dirichlet.stiffness`` assembles the stiffness on it with its
-line-relaxation preconditioner.  The solver is conjugate gradients with a
-deterministic, fixed-order accumulation; the eigenvalue oracle takes the
-same system with a V-cycle that smooths by that relaxation.
+line-relaxation preconditioner.  The solver is conjugate gradients; its
+results repeat bit for bit at a fixed BLAS thread count, as numpy's dot
+products and norms split their sums across threads (ROADMAP item 2).  The
+eigenvalue oracle takes the same system with a V-cycle that smooths by that
+relaxation.
 """
 
 import math
@@ -215,13 +217,13 @@ class Dirichlet:
     interior vertices along each axis, and ``mass``, the consistent mass
     matrix (exact, not lumped), are built on first use; ``stiffness(alpha)``
     assembles the stiffness, with entries int_T (alpha grad phi_j) . grad
-    phi_i, on it.  The mesh is held by a weak reference, so a mesh that keeps
-    its ``Dirichlet`` (``TriMesh.dirichlet``) is freed by reference count
-    alone.
+    phi_i, on it.  The mesh is read through a ``weakref.proxy``, so a mesh
+    that keeps its ``Dirichlet`` (``TriMesh.dirichlet``) is freed by reference
+    count alone, and a use after the mesh is freed raises ``ReferenceError``.
     """
 
     def __init__(self, mesh):
-        self._mesh = weakref.ref(mesh)
+        self._mesh = weakref.proxy(mesh)
         self.pattern = _pattern(mesh)
         for part in self.pattern:
             part.flags.writeable = False  # every matrix on the pattern shares it
@@ -229,15 +231,13 @@ class Dirichlet:
 
     def lines(self, along):
         if along not in self._lines:
-            mesh = self._mesh()
-            coords = mesh.vertices[mesh.interior_vertices]
+            coords = self._mesh.vertices[self._mesh.interior_vertices]
             self._lines[along] = _line_layout(coords, along, self.pattern)
         return self._lines[along]
 
     @cached_property
     def mass(self):
-        mesh = self._mesh()
-        return _scatter(_sums(mesh, _mass_entries(mesh)), self.pattern)
+        return _scatter(_sums(self._mesh, _mass_entries(self._mesh)), self.pattern)
 
     @np.errstate(over="ignore", invalid="ignore")
     def stiffness(self, alpha):
@@ -259,8 +259,7 @@ class Dirichlet:
         a = np.asarray(alpha.matrix, dtype=float) / s  # exact: s is a power of two
         # the lines before the entries: their peaks do not add
         lines = self.lines(int(a[1, 1] > a[0, 0]))
-        mesh = self._mesh()
-        k = _scatter(_sums(mesh, _stiffness_entries(mesh, a)), self.pattern)
+        k = _scatter(_sums(self._mesh, _stiffness_entries(self._mesh, a)), self.pattern)
         return s, k, _line_factor(k, lines)
 
 

@@ -240,10 +240,25 @@ def _build_grid(n, keep):
     return vertices, np.column_stack((a, b, c, a, c, d)).reshape(-1, 3)
 
 
+def triangle_count(domain, size):
+    """Triangles of ``build_lshape(size)`` (domain ``"lshape"``) or of
+    ``build_unit_square(size)`` (``"square"``).  The one place where the sizes
+    the builders accept are decided: a size they refuse raises their
+    ``MeshError`` here."""
+    if domain == "lshape":
+        if not 0 <= size <= MAX_LEVEL:
+            raise MeshError(f"level must lie in 0..{MAX_LEVEL}, got {size}")
+        return 384 * 4**size
+    if size < 1:
+        raise MeshError(f"n must be at least 1, got {size}")
+    if size > 16 * 2**MAX_LEVEL:
+        raise MeshError(f"n = {size} exceeds the refinement guard")
+    return 2 * size * size
+
+
 def build_lshape(level):
     """Uniform L-shape triangulation with step 1/(16 * 2**level)."""
-    if not 0 <= level <= MAX_LEVEL:
-        raise MeshError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
+    triangle_count("lshape", level)
     n = 16 * 2**level
     keep = np.ones((n, n), dtype=bool)
     keep[n // 2 :, : n // 2] = False
@@ -253,10 +268,7 @@ def build_lshape(level):
 def build_unit_square(n):
     """Uniform unit-square triangulation with n x n cells."""
     n = int(n)
-    if n < 1:
-        raise MeshError(f"n must be at least 1, got {n}")
-    if n > 16 * 2**MAX_LEVEL:
-        raise MeshError(f"n = {n} exceeds the refinement guard")
+    triangle_count("square", n)
     return _finalize(*_build_grid(n, np.ones((n, n), dtype=bool)), "square", n, n)
 
 

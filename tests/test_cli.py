@@ -1,10 +1,16 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
+import fria
+from fria import majorant
 from fria.cli import main
+
+IDENT = fria.DiagonalWeight((1.0, 1.0))
+ANISO = fria.DiagonalWeight((1.0, 1e-4))
 
 
 def run(capsys, *argv):
@@ -365,6 +371,14 @@ class TestErrors:
         assert err == f"fria: {line}, 7.2 GiB available\n"
         assert path.read_bytes() == b"kept\n"
 
+    def test_oracle_negative_n_is_usage_error_before_any_mesh(self, capsys, monkeypatch):
+        from fria import cli
+
+        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(cli, "build_lshape", None)
+        code, out, err = run(capsys, "oracle", "cfa", "--n", "-100000")
+        assert (code, out, err) == (1, "", "fria: n must be at least 1, got -100000\n")
+
     def test_available_memory_falls_back_to_free_pages(self, tmp_path):
         from fria.cli import _available_bytes
 
@@ -488,3 +502,50 @@ class TestOracle:
         # strict subdomain of the unit square: larger eigenvalue, positive margin
         assert payload["lambda_min"] > 2.0 * math.pi**2
         assert payload["margin"] > 0.0
+
+
+
+class TestRefusalFigures:
+    """The bytes per triangle the CLI charges a run before it starts stay at
+    or above the tracemalloc peak that run reaches, per triangle of its mesh."""
+
+    # Fixed costs dominate small meshes (the oracle reads 505 B at n = 64),
+    # and a refusal matters only for large ones, so the sizes are L4 and
+    # n = 128.  If a peak rises above its figure, re-measure and raise the
+    # figure; do not move to a size that happens to pass.
+    @pytest.mark.parametrize(
+        "figure, triangles, work",
+        [
+            (
+                "_EXPERIMENT_BYTES_PER_TRIANGLE",
+                384 * 4**4,  # 317 measured
+                lambda: fria.run_refinement_experiment(
+                    [4], ANISO, 1.0, majorant.TABLE2_CONSTANTS
+                ),
+            ),
+            (
+                "_ORACLE_BYTES_PER_TRIANGLE",
+                384 * 4**4,  # 470 measured
+                lambda: fria.estimate_cfa(fria.build_lshape(4), IDENT),
+            ),
+            (
+                "_ORACLE_BYTES_PER_TRIANGLE",
+                2 * 128 * 128,  # 473 measured
+                lambda: fria.estimate_cfa(fria.build_unit_square(128), IDENT),
+            ),
+        ],
+        ids=["experiment-L4", "oracle-L4", "oracle-n128"],
+    )
+    def test_peak_within_the_refusal_figure(self, figure, triangles, work):
+        import scipy.sparse  # noqa: F401  (loaded before the count, as in a long run)
+
+        from fria import cli
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            work()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / triangles <= getattr(cli, figure)

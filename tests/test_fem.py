@@ -257,6 +257,16 @@ class TestAssembly:
         solve_diffusion(m, ANISO, 1.0)
         assert "dirichlet" not in vars(m)
 
+    @pytest.mark.parametrize(
+        "use",
+        [lambda d: d.mass, lambda d: d.lines(0), lambda d: d.stiffness(IDENT)],
+        ids=["mass", "lines", "stiffness"],
+    )
+    def test_dirichlet_of_a_freed_mesh_says_so(self, use):
+        dirichlet = fria.build_unit_square(2).dirichlet  # the mesh is freed here
+        with pytest.raises(ReferenceError, match="no longer exists"):
+            use(dirichlet)
+
     def test_reduced_system_exactly_symmetric(self, mesh_cache):
         m = mesh_cache("square", 8)
         a = m.dirichlet.stiffness(ANISO)[1]
@@ -562,7 +572,7 @@ class TestMultigrid:
 
         def negated_on_n16(self, alpha):
             s, k, line = build(self, alpha)
-            return (s, -k, line) if self._mesh().n == 16 else (s, k, line)
+            return (s, -k, line) if self._mesh.n == 16 else (s, k, line)
 
         monkeypatch.setattr(fem.Dirichlet, "stiffness", negated_on_n16)
         with pytest.raises(SolverError, match="not positive definite"):

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fria import mesh
 from fria.mesh import (
     MeshError,
     build_lshape,
     build_unit_square,
     dump_mesh,
     prolongation,
+    triangle_count,
     validate,
 )
 from fria.weights import DiagonalWeight, FullWeight
@@ -91,6 +93,40 @@ class TestLShape:
             build_lshape(9)
         with pytest.raises(MeshError):
             build_lshape(-1)
+
+
+class TestTriangleCount:
+    def test_counts_what_the_builders_build(self, mesh_cache):
+        for level in range(4):
+            assert triangle_count("lshape", level) == mesh_cache("lshape", level).num_triangles
+        for n in range(1, 21):
+            assert triangle_count("square", n) == build_unit_square(n).num_triangles
+        assert triangle_count("lshape", 8) == 25165824
+        assert triangle_count("square", 4096) == 33554432
+
+    @pytest.mark.parametrize(
+        "domain, size, message",
+        [
+            ("lshape", -1, "level must lie in 0..8, got -1"),
+            ("lshape", 9, "level must lie in 0..8, got 9"),
+            ("square", 0, "n must be at least 1, got 0"),
+            ("square", -100000, "n must be at least 1, got -100000"),
+            ("square", 4097, "n = 4097 exceeds the refinement guard"),
+        ],
+    )
+    def test_refuses_with_the_builders_message(self, domain, size, message):
+        build = build_lshape if domain == "lshape" else build_unit_square
+        for call in (lambda: triangle_count(domain, size), lambda: build(size)):
+            with pytest.raises(MeshError) as refused:
+                call()
+            assert str(refused.value) == message
+
+    def test_builders_check_their_size_through_it(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(mesh, "triangle_count", lambda *size: asked.append(size))
+        build_lshape(0)
+        build_unit_square(3)
+        assert asked == [("lshape", 0), ("square", 3)]
 
 
 class TestMemory:

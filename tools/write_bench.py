@@ -5,8 +5,17 @@
 Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
 keeps the last line of each run, the JSON result.  One more run of
 ``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
-of every level and every per-layer time (the metrics named ``*_s``), and one
-of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
+of every level and every per-layer time (the metrics named ``*_s``, kept as
+``table2_aniso_layers_s``).  Those layer times are misattributed: the tracer
+still wraps functions ``fem`` no longer has, so ``fem.assemble_s`` and
+``fem.reduce_s`` read 0 and the assembly is counted in ``fem.solve_s``
+(ROADMAP item 3).  ``table2_l5_stages_s`` times the same stages directly,
+in this process, the fastest of 3 each, on the level-5 L-shape with
+diag(1, 1e-4) and f = 1: ``build_lshape(5)``, ``Dirichlet(m).stiffness``
+(the pattern, the lines, the entries and the line factor, as
+``solve_diffusion`` builds them), ``conjugate_gradients`` on that system,
+``rt_average`` of a fresh solution (its gradients included) and
+``flux_defect_norms``.  One run of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
 ``count oracle.outer_iters.delta*`` lines).  Beside those steps,
 ``oracle_cfa_setup_s`` is the oracle's setup alone, timed in this process:
 ``fem.multigrid_stiffness`` and the reduced mass (``mesh.dirichlet.mass``,
@@ -96,13 +105,37 @@ def _oracle_setup_s():
     return best
 
 
-def _best_of_5(call):
+def _best_of(call, runs=5):
     best = float("inf")
-    for _ in range(5):
+    for _ in range(runs):
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _table2_l5_stages_s():
+    """Fastest of 3 timings of each stage of the level-5 table2 solve."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fria import fem, flux, mesh, weights
+
+    alpha = weights.DiagonalWeight((1.0, 1e-4))
+    m = mesh.build_lshape(5)
+    b = fem.lumped_load(m, 1.0)[m.interior_vertices]
+    _, k, precondition = fem.Dirichlet(m).stiffness(alpha)
+    solution = fem.solve_diffusion(m, alpha, 1.0)
+    field = flux.rt_average(solution, alpha)
+    return {
+        "build_lshape(5)": _best_of(lambda: mesh.build_lshape(5), 3),
+        "Dirichlet.stiffness": _best_of(lambda: fem.Dirichlet(m).stiffness(alpha), 3),
+        "conjugate_gradients": _best_of(lambda: fem.conjugate_gradients(k, b, precondition), 3),
+        "rt_average": _best_of(
+            lambda: flux.rt_average(fem.P1Solution(m, solution.values), alpha), 3
+        ),
+        "flux_defect_norms": _best_of(
+            lambda: flux.flux_defect_norms(field, solution, alpha, 1.0), 3
+        ),
+    }
 
 
 def _mesh_layer_s():
@@ -112,9 +145,9 @@ def _mesh_layer_s():
 
     square = mesh.build_unit_square(128)
     return {
-        "build_lshape(5)": _best_of_5(lambda: mesh.build_lshape(5)),
-        "build_unit_square(128)": _best_of_5(lambda: mesh.build_unit_square(128)),
-        "validate(square 128)": _best_of_5(lambda: mesh.validate(square)),
+        "build_lshape(5)": _best_of(lambda: mesh.build_lshape(5)),
+        "build_unit_square(128)": _best_of(lambda: mesh.build_unit_square(128)),
+        "validate(square 128)": _best_of(lambda: mesh.validate(square)),
     }
 
 
@@ -137,7 +170,7 @@ def _mesh_build_peak_b_per_tri():
 def _calibration_s():
     """Fastest of 5 timings of a sort and a running sum in numpy alone."""
     values = numpy.random.default_rng(0).standard_normal(2**21)
-    return _best_of_5(lambda: numpy.cumsum(numpy.sort(values)))
+    return _best_of(lambda: numpy.cumsum(numpy.sort(values)))
 
 
 def _code_lines(path):
@@ -211,6 +244,7 @@ def main():
         "table2_aniso_cg_iterations": iterations,
         "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
         "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
+        "table2_l5_stages_s": _table2_l5_stages_s(),
         "oracle_cfa_steps": _oracle_steps(),
         "oracle_cfa_setup_s": _oracle_setup_s(),
         "mesh_layer_s": _mesh_layer_s(),
