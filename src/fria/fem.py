@@ -21,6 +21,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .errors import SolverError
 from .weights import largest_eigenvalue
 
 # relative residual of the Galerkin solves
@@ -30,10 +31,6 @@ _ITERS_PER_UNKNOWN = 10  # CG iteration budget
 # that is coarsened no further and solved by a dense factor
 _OMEGA = 0.7
 _COARSEST = 300
-
-
-class SolverError(RuntimeError):
-    """Iterative solve failed (non-convergence or indefinite system)."""
 
 
 @dataclass

@@ -17,12 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import MeshError
+
 MAX_LEVEL = 8
-
-
-class MeshError(ValueError):
-    """Invalid mesh construction request."""
-
 
 @dataclass
 class TriMesh:

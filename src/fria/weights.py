@@ -4,14 +4,14 @@ All weights are real and constant over the domain.  Diagonal weights are
 stored as their diagonal, full weights as an exactly symmetric d x d tuple
 matrix with d <= 3.  A full weight's eigenvalues come from LAPACK
 (``numpy.linalg.eigvalsh``); they and its tilde reduction are computed
-once per weight and cached.
+once per weight and cached.  numpy is imported when a full weight's
+eigenvalues are first read, never before: diagonal weights and the
+closed-form bounds on them run without it.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class WeightError(ValueError):
@@ -140,6 +140,8 @@ class FullWeight:
     @functools.cached_property
     def eigenvalues(self):
         """All eigenvalues, ascending, from one LAPACK call per weight."""
+        import numpy as np  # here, not at the top: diagonal weights never need it
+
         return tuple(float(v) for v in np.linalg.eigvalsh(self.entries))
 
     @functools.cached_property

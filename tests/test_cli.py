@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -238,9 +239,9 @@ class TestErrors:
         assert err.startswith("fria: ") and err.count("\n") == 1
 
     def test_oracle_three_dimensional_alpha_builds_no_mesh(self, capsys, monkeypatch):
-        from fria import cli
+        from fria import mesh
 
-        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(mesh, "build_unit_square", None)  # no mesh may be built
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "oracle", "cfa", "--n", "4096", "--alpha", "diag:1,1,1")
@@ -249,9 +250,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("alpha", ["full:1,2,1", "diag:0,0", "full:-1,0,-1"])
     def test_oracle_refuses_weight_without_bound(self, capsys, monkeypatch, alpha):
-        from fria import cli, oracle
+        from fria import mesh, oracle
 
-        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(mesh, "build_unit_square", None)  # no mesh may be built
         monkeypatch.setattr(oracle, "estimate_cfa", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -298,10 +299,10 @@ class TestErrors:
         ],
     )
     def test_oracle_refuses_other_domains_size_flag(self, capsys, monkeypatch, flags):
-        from fria import cli
+        from fria import mesh
 
-        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
-        monkeypatch.setattr(cli, "build_lshape", None)
+        monkeypatch.setattr(mesh, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(mesh, "build_lshape", None)
         code, out, err = run(capsys, "oracle", "cfa", *flags)
         assert code == 1 and out == ""
         assert err.startswith("fria: ") and "does not apply" in err
@@ -358,11 +359,11 @@ class TestErrors:
     def test_oracle_size_that_cannot_fit_is_refused_before_any_mesh(
         self, capsys, monkeypatch, tmp_path, size, line
     ):
-        from fria import cli, oracle
+        from fria import cli, mesh, oracle
 
         monkeypatch.setattr(cli, "_available_bytes", lambda: 7.7e9)
-        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
-        monkeypatch.setattr(cli, "build_lshape", None)
+        monkeypatch.setattr(mesh, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(mesh, "build_lshape", None)
         monkeypatch.setattr(oracle, "estimate_cfa", None)
         path = tmp_path / "estimate.json"
         path.write_bytes(b"kept\n")
@@ -372,10 +373,10 @@ class TestErrors:
         assert path.read_bytes() == b"kept\n"
 
     def test_oracle_negative_n_is_usage_error_before_any_mesh(self, capsys, monkeypatch):
-        from fria import cli
+        from fria import mesh
 
-        monkeypatch.setattr(cli, "build_unit_square", None)  # no mesh may be built
-        monkeypatch.setattr(cli, "build_lshape", None)
+        monkeypatch.setattr(mesh, "build_unit_square", None)  # no mesh may be built
+        monkeypatch.setattr(mesh, "build_lshape", None)
         code, out, err = run(capsys, "oracle", "cfa", "--n", "-100000")
         assert (code, out, err) == (1, "", "fria: n must be at least 1, got -100000\n")
 
@@ -430,6 +431,17 @@ class TestExperiment:
         assert len(lines) == 1 + 225
         # boundary vertex 0 sits at the domain corner, value exactly zero
         assert lines[1] == "0,0"
+
+    def test_solution_export_keeps_its_bytes(self, capsys, tmp_path):
+        # the digest of the file written from numpy scalars, one line at a time
+        code, _, _ = run(
+            capsys, "experiment", "table2", "--levels", "1", "--solutions", str(tmp_path)
+        )
+        data = (tmp_path / "solution_level1.csv").read_bytes()
+        assert code == 0 and len(data) == 14444 and data.count(b"\n") == 1 + 833
+        assert hashlib.sha256(data).hexdigest() == (
+            "b0b495a853271dc4edf74eafe82be32c0adbcbd8803a134ab4aa3185040007b2"
+        )
 
     @pytest.mark.parametrize(
         "constants, header",

@@ -482,7 +482,79 @@ def _fresh_python(code):
     return out.stdout
 
 
+# every name the package exported eagerly before its array half was loaded
+# on first access, by home module; the module ``manufactured`` is the 46th
+EXPORTS = {
+    "fem": ["P1Solution", "SolverError", "energy_norm", "solve_diffusion"],
+    "flux": ["RT0Field", "flux_defect_norms", "rt_average", "rt_divergence"],
+    "friedrichs": [
+        "BoundReport", "BoundUnavailable", "best_bound", "coarse_bound", "coercivity_threshold",
+        "diagonal_bound", "full_bound", "mikhlin_bound", "semidef_bound", "sharp_bound",
+    ],
+    "majorant": ["MajorantBreakdown", "evaluate_majorant", "run_refinement_experiment"],
+    "maxwell": [
+        "MaxwellInput", "maxwell_bound", "maxwell_coarse", "maxwell_diagonal",
+        "maxwell_from_parts", "maxwell_full", "poincare_convex_bound",
+    ],
+    "mesh": ["TriMesh", "build_lshape", "build_unit_square", "dump_mesh", "prolongation", "validate"],
+    "oracle": ["EigenEstimate", "estimate_cfa", "reference_energy_error"],
+    "weights": [
+        "DiagonalWeight", "DInterval", "FullWeight", "WeightError", "largest_eigenvalue",
+        "parse_weight", "smallest_eigenvalue", "tilde_reduction",
+    ],
+}
+# prints the array packages the program loaded
+LOADED = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+
+
 class TestColdStart:
+    @pytest.mark.parametrize("statement", ["import fria", "from fria import cli"])
+    def test_import_loads_no_numpy(self, statement):
+        assert _fresh_python(f"import sys\n{statement}\n" + LOADED) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "verb, code, loaded",
+        [
+            ("bounds friedrichs --lengths 1,1 --weight diag:1,1e-4", 0, []),
+            ("bounds friedrichs --lengths 1,2", 0, []),
+            ("bounds maxwell --lengths 1,1,1", 0, []),
+            ("table 1", 0, []),
+            ("table 3", 0, []),
+            ("bounds friedrichs --lengths 1,x", 1, []),
+            # eigvalsh needs numpy; scipy still stays out
+            ("bounds friedrichs --lengths 1,1 --weight full:2,0.5,1", 0, ["numpy"]),
+        ],
+    )
+    def test_closed_form_verbs_load_no_numpy(self, verb, code, loaded):
+        program = (
+            "import contextlib, io, sys\n"
+            "from fria.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    print(main({verb.split()!r}), file=sys.__stdout__)\n" + LOADED
+        )
+        assert _fresh_python(program) == f"{code}\n{loaded}\n"
+
+    def test_every_export_resolves_on_first_access(self):
+        assert sum(map(len, EXPORTS.values())) + 1 == 46
+        # manufactured first: its lazy import must not probe the package for itself
+        program = (
+            "import importlib, sys\n"
+            "import fria\n"
+            f"exports = {EXPORTS!r}\n"
+            "names = {'manufactured', *(n for ns in exports.values() for n in ns)}\n"
+            "print(names <= set(dir(fria)))\n"
+            "try:\n"
+            "    fria.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n" + LOADED +
+            "print(fria.manufactured is importlib.import_module('fria.manufactured'))\n"
+            "home = {n: importlib.import_module('fria.' + m) for m, ns in exports.items() for n in ns}\n"
+            "print(sorted(n for n, m in home.items() if getattr(fria, n) is not getattr(m, n)))\n"
+        )
+        assert _fresh_python(program) == (
+            "True\nmodule 'fria' has no attribute 'no_such_name'\n[]\nTrue\n[]\n"
+        )
+
     def test_closed_form_verbs_load_no_scipy(self):
         code = (
             "import contextlib, io, sys\n"

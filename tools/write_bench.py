@@ -42,8 +42,10 @@ machine, not the code.  The short runs, children the same way, take 0.1 to
 child runs, with that run's peak RSS and CPU seconds: ``oracle cfa --n 128``
 and ``oracle cfa --domain lshape --level 4`` (one oracle call each, so each
 coarse mesh is built once at any commit), and the cold starts ``bounds
-friedrichs --lengths 1,1 --weight diag:1,1e-4`` and ``table 1``, mostly
-interpreter and import time.  The file also records the Python, numpy and scipy versions, the CPUs the
+friedrichs --lengths 1,1 --weight diag:1,1e-4``, ``table 1``, ``bounds
+friedrichs --lengths 1,1 --weight full:2,0.5,1`` (a full weight, whose
+eigenvalues load numpy) and ``python -c "import fria"`` (kept as ``import
+fria``), mostly interpreter and import time.  The file also records the Python, numpy and scipy versions, the CPUs the
 process may use, the commit, whether tracked files differ from it,
 ``src_lines``, the total line count of ``src/fria/*.py``, and
 ``src_code_lines``, the lines of those files that are not blank, not ``#``
@@ -190,12 +192,18 @@ def _code_lines(path):
 
 
 def _cli_run(*args, runs=1):
-    """Wall time, peak RSS and CPU seconds of the fastest of ``runs`` child runs."""
-    return min((_cli_once(*args) for _ in range(runs)), key=lambda run: run["wall_s"])
+    """``_python_run`` of ``python -m fria.cli args``."""
+    return _python_run("-m", "fria.cli", *args, runs=runs)
 
 
-def _cli_once(*args):
-    argv = [sys.executable, "-m", "fria.cli", *args]
+def _python_run(*args, runs):
+    """Wall time, peak RSS and CPU seconds of the fastest of ``runs`` child
+    runs of ``python args``."""
+    return min((_python_once(*args) for _ in range(runs)), key=lambda run: run["wall_s"])
+
+
+def _python_once(*args):
+    argv = [sys.executable, *args]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
     child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
@@ -228,8 +236,10 @@ def main():
         "oracle cfa --domain lshape --level 4",
         "bounds friedrichs --lengths 1,1 --weight diag:1,1e-4",
         "table 1",
+        "bounds friedrichs --lengths 1,1 --weight full:2,0.5,1",
     ):
         cli_runs[verb] = _cli_run(*verb.split(), runs=5)
+    cli_runs["import fria"] = _python_run("-c", "import fria", runs=5)
     sha = _stdout("git", "rev-parse", "HEAD").strip()
     record = {
         "commit": sha,
