@@ -32,9 +32,7 @@ from .weights import (
     DInterval,
     FullWeight,
     WeightError,
-    largest_eigenvalue,
     parse_weight,
-    smallest_eigenvalue,
     tilde_reduction,
 )
 

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from . import friedrichs, maxwell, weights
+from . import friedrichs, maxwell
 from .errors import MeshError, SolverError
 from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 
@@ -176,7 +176,7 @@ def _cmd_experiment(args):
     alpha = _weight_flag(args.alpha, "--alpha")
     if alpha.d != 2:
         raise UsageError("--alpha must be 2-dimensional for the experiment")
-    if weights.smallest_eigenvalue(alpha) <= 0.0:
+    if alpha.eigenvalues[0] <= 0.0:
         raise UsageError("--alpha must be positive definite for the experiment")
     text = args.constants
     if text is None:  # the default: the constants of the paper's Table 2

@@ -22,7 +22,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import SolverError
-from .weights import largest_eigenvalue
 
 # relative residual of the Galerkin solves
 RTOL = 1e-10
@@ -249,7 +248,7 @@ class Dirichlet:
         it."""
         if alpha.d != 2:
             raise ValueError("diffusion assembly needs a 2x2 weight")
-        top = largest_eigenvalue(alpha)
+        top = alpha.eigenvalues[-1]
         if not top > 0.0:
             raise SolverError(f"weight has no positive eigenvalue (largest {top})")
         s = math.ldexp(1.0, math.frexp(top)[1] - 1)

@@ -15,7 +15,6 @@ from .weights import (
     DInterval,
     FullWeight,
     WeightError,
-    smallest_eigenvalue,
     tilde_reduction,
 )
 
@@ -76,7 +75,7 @@ def coarse_bound(box, w):
     Blows up as the smallest eigenvalue of the weight approaches zero.
     """
     _check_dims(box, w)
-    amin = smallest_eigenvalue(w)
+    amin = w.eigenvalues[0]
     if amin <= 0.0:
         raise BoundUnavailable(
             f"coarse bound undefined: smallest eigenvalue {amin} is not positive"

@@ -10,13 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .friedrichs import FORMULAS, BoundReport, coarse_bound, sharp_bound
-from .weights import (
-    DiagonalWeight,
-    DInterval,
-    FullWeight,
-    WeightError,
-    largest_eigenvalue,
-)
+from .weights import DiagonalWeight, DInterval, FullWeight, WeightError
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,7 @@ class MaxwellInput:
             raise WeightError(
                 f"diameter {diam} exceeds the box diagonal {self.box.diagonal}"
             )
-        lam_max = largest_eigenvalue(self.eps)
+        lam_max = self.eps.eigenvalues[-1]
         eps_max = lam_max if self.eps_max is None else float(self.eps_max)
         if not math.isfinite(eps_max):
             raise WeightError(f"eps_max must be finite, got {eps_max}")

@@ -168,14 +168,6 @@ class FullWeight:
         return {"full": [list(row) for row in self.entries]}
 
 
-def smallest_eigenvalue(w):
-    return w.eigenvalues[0]
-
-
-def largest_eigenvalue(w):
-    return w.eigenvalues[-1]
-
-
 def tilde_reduction(w):
     """Diagonal minorant: each diagonal entry minus its row's off-diagonal
     magnitudes.  Entries of the result may be negative."""

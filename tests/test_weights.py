@@ -8,9 +8,7 @@ from fria.weights import (
     DInterval,
     FullWeight,
     WeightError,
-    largest_eigenvalue,
     parse_weight,
-    smallest_eigenvalue,
     tilde_reduction,
 )
 
@@ -41,14 +39,14 @@ class TestDInterval:
 
 class TestSmallestEigenvalue:
     def test_diagonal_is_min_entry(self):
-        assert smallest_eigenvalue(DiagonalWeight((1.0, 1e-2))) == 1e-2
+        assert DiagonalWeight((1.0, 1e-2)).eigenvalues[0] == 1e-2
 
     def test_reference_full_matrix(self):
         # eigenvector (1, 0, -1) gives the exact eigenvalue 2
-        assert smallest_eigenvalue(CALPHA2) == pytest.approx(2.0, rel=1e-12)
+        assert CALPHA2.eigenvalues[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_identity(self):
-        assert smallest_eigenvalue(FullWeight(((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)))) == 1.0
+        assert FullWeight(((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))).eigenvalues[0] == 1.0
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(WeightError, match="not symmetric"):
@@ -61,8 +59,8 @@ class TestSmallestEigenvalue:
             "full:72.2373557980888,195.61206341018206,-112.79494324047118,"
             "529.8176080452685,-305.4982675479622,176.17234646954554"
         )
-        lam_max = largest_eigenvalue(w)
-        assert smallest_eigenvalue(w) == pytest.approx(
+        lam_max = w.eigenvalues[-1]
+        assert w.eigenvalues[0] == pytest.approx(
             0.014191210514586532, rel=0, abs=1e-12 * lam_max
         )
 
@@ -95,7 +93,7 @@ class TestSmallestEigenvalue:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         w = FullWeight(CALPHA2.entries)
-        assert smallest_eigenvalue(w) < largest_eigenvalue(w)
+        assert w.eigenvalues[0] < w.eigenvalues[-1]
         assert len(calls) == 1
         assert all(type(v) is float for v in w.eigenvalues)
 
@@ -104,7 +102,7 @@ class TestSmallestEigenvalue:
         w = parse_weight("full:1e160,1e159,0,1e160,0,1e160")
         assert w.eigenvalues == pytest.approx((9e159, 1e160, 1.1e160), rel=1e-14)
         w = parse_weight("full:-1e191,-1e108,1e110,1.16,-0.634,2.54")
-        assert smallest_eigenvalue(w) == pytest.approx(-1e191, rel=1e-14)
+        assert w.eigenvalues[0] == pytest.approx(-1e191, rel=1e-14)
 
     def test_scaling(self):
         rng = np.random.default_rng(3)
@@ -112,14 +110,14 @@ class TestSmallestEigenvalue:
             w = random_symmetric(rng, 3)
             c = float(rng.uniform(0.1, 10.0))
             scaled = FullWeight(tuple(tuple(c * v for v in row) for row in w.matrix))
-            assert smallest_eigenvalue(scaled) == pytest.approx(
-                c * smallest_eigenvalue(w), rel=1e-12, abs=1e-13
+            assert scaled.eigenvalues[0] == pytest.approx(
+                c * w.eigenvalues[0], rel=1e-12, abs=1e-13
             )
 
     def test_largest(self):
-        assert largest_eigenvalue(DiagonalWeight((1.0, 5.0, 2.0))) == 5.0
+        assert DiagonalWeight((1.0, 5.0, 2.0)).eigenvalues[-1] == 5.0
         ref = np.linalg.eigvalsh(np.asarray(CALPHA2.matrix))[-1]
-        assert largest_eigenvalue(CALPHA2) == pytest.approx(ref, rel=1e-13)
+        assert CALPHA2.eigenvalues[-1] == pytest.approx(ref, rel=1e-13)
 
 
 class TestTildeReduction:

@@ -3,21 +3,21 @@
     python3 tools/write_bench.py
 
 Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
-keeps the last line of each run, the JSON result.  One more run of
-``table2_aniso`` with ``--trace 1 --seconds 1`` gives the CG iteration count
-of every level and every per-layer time (the metrics named ``*_s``, kept as
-``table2_aniso_layers_s``).  Those layer times are misattributed: the tracer
-still wraps functions ``fem`` no longer has, so ``fem.assemble_s`` and
-``fem.reduce_s`` read 0 and the assembly is counted in ``fem.solve_s``
-(ROADMAP item 3).  ``table2_l5_stages_s`` times the same stages directly,
-in this process, the fastest of 3 each, on the level-5 L-shape with
-diag(1, 1e-4) and f = 1: ``build_lshape(5)``, ``Dirichlet(m).stiffness``
+keeps the last line of each run, the JSON result; it makes no traced run, so
+the file holds no per-layer table.  A run whose checks fail stops the tool
+with one line naming the workload and its ``failed`` count, before any file
+is written.  The ``oracle_cfa`` run's ``count oracle.outer_iters.delta*``
+lines give the LOBPCG step count of each anisotropy (``oracle_cfa_steps``).
+The rest is measured in this process, with ``src`` on ``sys.path``.
+``table2_aniso_cg_iterations`` is the ``iterations`` of
+``fem.solve_diffusion`` on ``build_lshape(L)`` with diag(1, 1e-4) and f = 1
+for L = 0..5, as ``table2_aniso`` solves them.
+``table2_l5_stages_s`` times the stages of the level-5 solve, the fastest of
+3 each: ``build_lshape(5)``, ``Dirichlet(m).stiffness``
 (the pattern, the lines, the entries and the line factor, as
 ``solve_diffusion`` builds them), ``conjugate_gradients`` on that system,
 ``rt_average`` of a fresh solution (its gradients included) and
-``flux_defect_norms``.  One run of ``oracle_cfa`` gives the LOBPCG step count of each anisotropy (its
-``count oracle.outer_iters.delta*`` lines).  Beside those steps,
-``oracle_cfa_setup_s`` is the oracle's setup alone, timed in this process:
+``flux_defect_norms``.  ``oracle_cfa_setup_s`` is the oracle's setup alone:
 ``fem.multigrid_stiffness`` and the reduced mass (``mesh.dirichlet.mass``,
 as ``estimate_cfa`` reads it) for the three deltas of ``oracle_cfa`` on a
 fresh n = 128 square, the fastest of 5.  ``mesh_layer_s`` times the mesh
@@ -45,11 +45,16 @@ coarse mesh is built once at any commit), and the cold starts ``bounds
 friedrichs --lengths 1,1 --weight diag:1,1e-4``, ``table 1``, ``bounds
 friedrichs --lengths 1,1 --weight full:2,0.5,1`` (a full weight, whose
 eigenvalues load numpy) and ``python -c "import fria"`` (kept as ``import
-fria``), mostly interpreter and import time.  The file also records the Python, numpy and scipy versions, the CPUs the
+fria``), mostly interpreter and import time.  The child runs come before
+the measurements in this process, so that a child's peak RSS, which starts
+at this process's RSS at the fork, does not carry their meshes.  The file
+also records the Python, numpy and scipy versions, the CPUs the
 process may use, the commit, whether tracked files differ from it,
 ``src_lines``, the total line count of ``src/fria/*.py``, and
 ``src_code_lines``, the lines of those files that are not blank, not ``#``
-comments and not inside a module, class or function docstring.
+comments and not inside a module, class or function docstring;
+``bench_code_lines`` counts ``perfbench/*.py`` and ``tools/*.py`` the same
+way.
 """
 
 import ast
@@ -66,6 +71,7 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 WORKLOADS = ("table2_aniso", "manufactured_square", "oracle_cfa", "bounds_sweep")
 
 
@@ -73,25 +79,32 @@ def _stdout(*argv):
     return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
 
-def _bench_lines(workload, *flags):
-    return _stdout(sys.executable, "perfbench/run.py", "--workload", workload, *flags).splitlines()
+def _bench(workload):
+    """The JSON result of one untraced ``perfbench/run.py`` run of
+    ``workload`` and its ``count`` lines as a dict; exits when a check
+    failed."""
+    argv = (sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0")
+    lines = _stdout(*argv).splitlines()
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        sys.exit(f"{workload}: {result['failed']} checks failed")
+    counts = (line.split()[1:] for line in lines if line.startswith("count "))
+    return result, {key: json.loads(value) for key, value in counts}
 
 
-def _result(workload, *flags):
-    return json.loads(_bench_lines(workload, *flags)[-1])
+def _cg_iterations():
+    """CG iterations of the ``table2_aniso`` solve on each level 0..5."""
+    from fria import fem, mesh, weights
 
-
-def _oracle_steps():
-    """LOBPCG steps per anisotropy delta of one traced ``oracle_cfa`` run."""
-    prefix = "count oracle.outer_iters.delta"
-    lines = _bench_lines("oracle_cfa", "--trace", "1", "--seconds", "1")
-    pairs = (line[len(prefix):].split() for line in lines if line.startswith(prefix))
-    return {delta: json.loads(steps) for delta, steps in pairs}
+    alpha = weights.DiagonalWeight((1.0, 1e-4))
+    return {
+        f"L{level}": fem.solve_diffusion(mesh.build_lshape(level), alpha, 1.0).iterations
+        for level in range(6)
+    }
 
 
 def _oracle_setup_s():
     """Fastest of 5 timings of the ``oracle_cfa`` setup on a fresh mesh."""
-    sys.path.insert(0, str(ROOT / "src"))
     from fria import fem, mesh, weights
 
     alphas = [weights.DiagonalWeight((1.0, delta)) for delta in (1e-2, 1.0, 1e2)]
@@ -118,7 +131,6 @@ def _best_of(call, runs=5):
 
 def _table2_l5_stages_s():
     """Fastest of 3 timings of each stage of the level-5 table2 solve."""
-    sys.path.insert(0, str(ROOT / "src"))
     from fria import fem, flux, mesh, weights
 
     alpha = weights.DiagonalWeight((1.0, 1e-4))
@@ -142,7 +154,6 @@ def _table2_l5_stages_s():
 
 def _mesh_layer_s():
     """Fastest of 5 timings of each mesh-layer step, in this process."""
-    sys.path.insert(0, str(ROOT / "src"))
     from fria import mesh
 
     square = mesh.build_unit_square(128)
@@ -155,7 +166,6 @@ def _mesh_layer_s():
 
 def _mesh_build_peak_b_per_tri():
     """tracemalloc peak of ``build_lshape(4)`` per triangle, in this process."""
-    sys.path.insert(0, str(ROOT / "src"))
     import scipy.sparse  # noqa: F401  (loaded before the count, as in TestMemory)
     from fria import mesh
 
@@ -191,12 +201,7 @@ def _code_lines(path):
     )
 
 
-def _cli_run(*args, runs=1):
-    """``_python_run`` of ``python -m fria.cli args``."""
-    return _python_run("-m", "fria.cli", *args, runs=runs)
-
-
-def _python_run(*args, runs):
+def _python_run(*args, runs=1):
     """Wall time, peak RSS and CPU seconds of the fastest of ``runs`` child
     runs of ``python args``."""
     return min((_python_once(*args) for _ in range(runs)), key=lambda run: run["wall_s"])
@@ -220,17 +225,11 @@ def _python_once(*args):
 
 
 def main():
-    results = {w: _result(w, "--trace", "0") for w in WORKLOADS}
-    traced = _result("table2_aniso", "--trace", "1", "--seconds", "1")["metrics"]
-    prefix = "fem.cg_iters.L"
-    iterations = {k[len(prefix) - 1:]: v["value"] for k, v in traced.items() if k.startswith(prefix)}
-    cli_runs = {
-        f"table2 --levels {level}": _cli_run("experiment", "table2", "--levels", str(level))
-        for level in (5, 6, 7)
-    }
-    cli_runs["table2 --levels 5 --alpha diag:1,1"] = _cli_run(
-        "experiment", "table2", "--levels", "5", "--alpha", "diag:1,1"
-    )
+    runs = {w: _bench(w) for w in WORKLOADS}
+    _, counts = runs["oracle_cfa"]
+    steps = {k.removeprefix("oracle.outer_iters.delta"): v for k, v in counts.items()}
+    table2 = [f"table2 --levels {levels}" for levels in ("5", "6", "7", "5 --alpha diag:1,1")]
+    cli_runs = {v: _python_run("-m", "fria.cli", "experiment", *v.split()) for v in table2}
     for verb in (
         "oracle cfa --n 128",
         "oracle cfa --domain lshape --level 4",
@@ -238,7 +237,7 @@ def main():
         "table 1",
         "bounds friedrichs --lengths 1,1 --weight full:2,0.5,1",
     ):
-        cli_runs[verb] = _cli_run(*verb.split(), runs=5)
+        cli_runs[verb] = _python_run("-m", "fria.cli", *verb.split(), runs=5)
     cli_runs["import fria"] = _python_run("-c", "import fria", runs=5)
     sha = _stdout("git", "rev-parse", "HEAD").strip()
     record = {
@@ -250,12 +249,10 @@ def main():
             "scipy": scipy.__version__,
             "nproc": len(os.sched_getaffinity(0)),
         },
-        "results": results,
-        "table2_aniso_cg_iterations": iterations,
-        "table2_aniso_cg_s": traced["fem.cg_s"]["value"],
-        "table2_aniso_layers_s": {k: v["value"] for k, v in traced.items() if k.endswith("_s")},
+        "results": {w: result for w, (result, _) in runs.items()},
+        "table2_aniso_cg_iterations": _cg_iterations(),
         "table2_l5_stages_s": _table2_l5_stages_s(),
-        "oracle_cfa_steps": _oracle_steps(),
+        "oracle_cfa_steps": steps,
         "oracle_cfa_setup_s": _oracle_setup_s(),
         "mesh_layer_s": _mesh_layer_s(),
         "mesh_build_peak_b_per_tri": _mesh_build_peak_b_per_tri(),
@@ -263,6 +260,9 @@ def main():
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
         "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
+        "bench_code_lines": sum(
+            _code_lines(p) for d in ("perfbench", "tools") for p in ROOT.glob(f"{d}/*.py")
+        ),
     }
     path = ROOT / f"BENCH_{sha[:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
