@@ -4,11 +4,19 @@ An RT0 field stores one degree of freedom per edge: the integral of the
 normal component across that edge, signed by the mesh normal convention.
 Normal continuity across interior edges then holds by construction, and
 the per-triangle divergence follows exactly from the divergence theorem.
+
+Every map here is per edge or per triangle.  Each runs over blocks of
+``mesh.BLOCK_ROWS`` rows (``mesh.row_blocks``) written into one full
+per-row array, so its temporaries are bounded by the block, not by the
+mesh; a norm is one ``np.sum`` of its full density array, which gives the
+bits of the whole-mesh formulas.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mesh import row_blocks
 
 
 @dataclass
@@ -20,7 +28,7 @@ class RT0Field:
 
 
 def rt_average(solution, alpha):
-    """Average the broken flux alpha grad u onto the edges.
+    """Average the broken flux alpha grad u onto the edges, block by block.
 
     Interior edges take the arithmetic mean of the two adjacent normal
     components; boundary edges take the one-sided trace.
@@ -28,19 +36,33 @@ def rt_average(solution, alpha):
     mesh = solution.mesh
     a = np.asarray(alpha.matrix, dtype=float)
     flux = solution.gradients @ a.T
-    adj = mesh.edge_tris
-    # a boundary edge's missing neighbour -1 gathers the last row, which np.where drops
-    qn =np.einsum("ekx,ex->ek", np.take(flux, adj, axis=0), mesh.edge_normals)
-    interior = adj[:, 1] >= 0
-    mean = np.where(interior, 0.5 * (qn[:, 0] + qn[:, 1]), qn[:, 0])
-    return RT0Field(mesh, mesh.edge_lengths * mean)
+    dofs = np.empty(mesh.num_edges)
+    for rows in row_blocks(len(dofs)):
+        adj = mesh.edge_tris[rows]
+        # a boundary edge's missing neighbour -1 gathers the last row, which np.where drops
+        qn = np.einsum("ekx,ex->ek", np.take(flux, adj, axis=0), mesh.edge_normals[rows])
+        mean = np.where(adj[:, 1] >= 0, 0.5 * (qn[:, 0] + qn[:, 1]), qn[:, 0])
+        dofs[rows] = mesh.edge_lengths[rows] * mean
+    return RT0Field(mesh, dofs)
+
+
+def _signed_dofs(field, rows):
+    """Outward-signed dofs of the edges of the triangles ``rows``, edge j
+    opposite corner j."""
+    mesh = field.mesh
+    return np.take(field.dofs, mesh.tri_edges[rows]) * mesh.tri_edge_signs[rows]
+
+
+def _divergence(field, rows):
+    return _signed_dofs(field, rows).sum(axis=1) / field.mesh.areas[rows]
 
 
 def rt_divergence(field):
     """Per-triangle divergence: outward-signed edge dofs over the area."""
-    mesh = field.mesh
-    signed = np.take(field.dofs, mesh.tri_edges) * mesh.tri_edge_signs
-    return signed.sum(axis=1) / mesh.areas
+    div = np.empty(field.mesh.num_triangles)
+    for rows in row_blocks(len(div)):
+        div[rows] = _divergence(field, rows)
+    return div
 
 
 def residual_norm(field, f):
@@ -53,8 +75,12 @@ def residual_norm(field, f):
     """
     mesh = field.mesh
     mean, osc = f if isinstance(f, tuple) else (float(f), 0.0)
-    r = mean + rt_divergence(field)
-    return float(np.sqrt(np.sum(mesh.areas * r * r + osc)))
+    mean, osc = (np.broadcast_to(v, mesh.num_triangles) for v in (mean, osc))
+    dens = np.empty(mesh.num_triangles)
+    for rows in row_blocks(len(dens)):
+        r = mean[rows] + _divergence(field, rows)
+        dens[rows] = mesh.areas[rows] * r * r + osc[rows]
+    return float(np.sqrt(np.sum(dens)))
 
 
 def defect_norm(field, solution, alpha):
@@ -72,25 +98,25 @@ def defect_norm(field, solution, alpha):
         ainv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix is singular") from None
-    # e_j by components, the centroid summed in mean(axis=1)'s order; each
-    # (t, 3) corner gather and each product below is dropped once read, which
-    # keeps this step below the solve's peak memory
-    corners = (np.take(mesh.vertices[:, k], mesh.triangles) for k in (0, 1))
-    ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in corners)
-    # coefficient of (x - p_j) for the vertex p_j opposite edge j
-    coeff = np.take(field.dofs, mesh.tri_edges) * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
-    flux = solution.gradients @ a.T
-    dx, dy = (-np.einsum("tj,tj->t", coeff, e) - q for e, q in zip((ex, ey), flux.T))
-    half_div = coeff.sum(axis=1)
-    del flux, coeff
     # the quadratic forms of alpha^-1, written out
     (ixx, ixy), (iyx, iyy) = ainv
-    sxx, sxy, syy = (np.einsum("tj,tj->t", u, v) for u, v in ((ex, ex), (ex, ey), (ey, ey)))
-    del ex, ey
-    spread = (ixx * sxx + (ixy + iyx) * sxy + iyy * syy) / 12.0
-    del sxx, sxy, syy
-    dens = ixx * dx * dx + (ixy + iyx) * dx * dy + iyy * dy * dy + half_div * half_div * spread
-    return float(np.sqrt(np.sum(mesh.areas * dens)))
+    dens = np.empty(mesh.num_triangles)
+    for rows in row_blocks(len(dens)):
+        # e_j by components, the centroid summed in mean(axis=1)'s order
+        corners = np.take(mesh.vertices, mesh.triangles[rows], axis=0).transpose(2, 0, 1)
+        ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in corners)
+        area = mesh.areas[rows]
+        # coefficient of (x - p_j) for the vertex p_j opposite edge j
+        coeff = _signed_dofs(field, rows) / (2.0 * area[:, None])
+        flux = solution.gradients[rows] @ a.T
+        dx, dy = (-np.einsum("tj,tj->t", coeff, e) - q for e, q in zip((ex, ey), flux.T))
+        half_div = coeff.sum(axis=1)
+        sxx, sxy, syy = (np.einsum("tj,tj->t", u, v) for u, v in ((ex, ex), (ex, ey), (ey, ey)))
+        spread = (ixx * sxx + (ixy + iyx) * sxy + iyy * syy) / 12.0
+        dens[rows] = area * (
+            ixx * dx * dx + (ixy + iyx) * dx * dy + iyy * dy * dy + half_div * half_div * spread
+        )
+    return float(np.sqrt(np.sum(dens)))
 
 
 def flux_defect_norms(field, solution, alpha, f):

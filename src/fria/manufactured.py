@@ -6,6 +6,10 @@ interpolation with the standard lumped weights, and the majorant by its
 cell moments.  Those moments and the energy error against the exact
 solution evaluate in closed form: by the divergence theorem each
 integral over a triangle is a sum of elementary trigonometric edge terms.
+The edge terms are formed over blocks of ``mesh.BLOCK_ROWS`` edges, then
+summed per triangle over blocks of triangles, so no temporary grows with
+the mesh beyond the per-edge terms and the per-triangle results.  The
+closed forms hold on the unit square only; each refuses any other mesh.
 """
 
 import math
@@ -14,6 +18,7 @@ import numpy as np
 
 from .fem import solve_diffusion
 from .majorant import evaluate_majorant
+from .mesh import row_blocks
 from .weights import DiagonalWeight
 
 IDENTITY2 = DiagonalWeight((1.0, 1.0))
@@ -30,23 +35,35 @@ def source(x, y):
     return 2.0 * np.pi**2 * exact_solution(x, y)
 
 
-def solve(mesh):
-    """P1 solve with the nodally interpolated, lumped source."""
+def _require_square(mesh):
     if mesh.domain != "square":
         raise ValueError("manufactured problem is posed on the unit square")
+
+
+def solve(mesh):
+    """P1 solve with the nodally interpolated, lumped source."""
+    _require_square(mesh)
     return solve_diffusion(mesh, IDENTITY2, source)
 
 
-def _edge_means(mesh, waves, trig):
-    """Mean of trig(pi k.x) along every edge, for each column k of waves.
+def _edge_means(mesh, rows, waves, trig):
+    """Mean of trig(pi k.x) along each edge of the block ``rows``, for each
+    column k of waves.
 
     k.x is affine along an edge, so the mean of cos or sin of it is the
     value at the midpoint times sinc of half the increment.
     """
-    ends = np.take(mesh.vertices, mesh.edges, axis=0)
+    ends = np.take(mesh.vertices, mesh.edges[rows], axis=0)
     mid = (0.5 * (ends[:, 0] + ends[:, 1])) @ waves
     step = (ends[:, 1] - ends[:, 0]) @ waves
     return trig(np.pi * mid) * np.sinc(0.5 * step)
+
+
+def _cell_sums(mesh, per_edge, rows):
+    """Outward-signed sum of the per-edge terms over the edges of each
+    triangle of the block ``rows``."""
+    gathered = np.take(per_edge, mesh.tri_edges[rows], axis=0)
+    return np.einsum("te,tek->tk", mesh.tri_edge_signs[rows], gathered)
 
 
 def grad_u_integrals(mesh):
@@ -55,12 +72,20 @@ def grad_u_integrals(mesh):
 
     By the divergence theorem int_T grad u = sum over the edges e of T of
     the outward normal times int_e u ds, with u = [cos pi(x-y) -
-    cos pi(x+y)] / 2.
+    cos pi(x+y)] / 2.  The edge terms, then the triangle sums, are formed
+    block by block.
     """
-    cosines = _edge_means(mesh, np.array([[1.0, 1.0], [-1.0, 1.0]]), np.cos)
-    along = 0.5 * mesh.edge_lengths * (cosines[:, 0] - cosines[:, 1])
-    flux = along[:, None] * mesh.edge_normals
-    return np.einsum("te,tex->tx", mesh.tri_edge_signs, np.take(flux, mesh.tri_edges, axis=0))
+    _require_square(mesh)
+    waves = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    flux = np.empty((mesh.num_edges, 2))
+    for rows in row_blocks(mesh.num_edges):
+        cosines = _edge_means(mesh, rows, waves, np.cos)
+        along = 0.5 * mesh.edge_lengths[rows] * (cosines[:, 0] - cosines[:, 1])
+        flux[rows] = along[:, None] * mesh.edge_normals[rows]
+    integrals = np.empty((mesh.num_triangles, 2))
+    for rows in row_blocks(mesh.num_triangles):
+        integrals[rows] = _cell_sums(mesh, flux, rows)
+    return integrals
 
 
 def source_moments(mesh):
@@ -70,19 +95,28 @@ def source_moments(mesh):
     f = pi^2 [cos pi(x-y) - cos pi(x+y)] and f^2 = pi^4 [1 + cos 2pi(x-y)/2
     + cos 2pi(x+y)/2 - cos 2pi x - cos 2pi y].  By the divergence theorem
     int_T cos(pi k.x) = sum_e (k.n_e) int_e sin(pi k.x) ds / (pi |k|^2)
-    over the outward normals.  Rounding may leave a tiny negative
-    oscillation; it is clamped to 0, which can only raise the majorant.
+    over the outward normals.  The edge terms, then the triangle sums, are
+    formed block by block.  Rounding may leave a tiny negative oscillation;
+    it is clamped to 0, which can only raise the majorant.
     """
+    _require_square(mesh)
     waves = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 0.0], [-1.0, 1.0, -2.0, 2.0, 0.0, 2.0]])
-    along = mesh.edge_lengths[:, None] * _edge_means(mesh, waves, np.sin)
-    per_edge = along * (mesh.edge_normals @ waves) / (np.pi * np.sum(waves * waves, axis=0))
-    cosines = np.einsum("te,tek->tk", mesh.tri_edge_signs, np.take(per_edge, mesh.tri_edges, axis=0))
-    integral = np.pi**2 * (cosines[:, 0] - cosines[:, 1])
-    square = np.pi**4 * (
-        mesh.areas + 0.5 * (cosines[:, 2] + cosines[:, 3]) - cosines[:, 4] - cosines[:, 5]
-    )
-    mean = integral / mesh.areas
-    return mean, np.maximum(square - integral * mean, 0.0)
+    scale = np.pi * np.sum(waves * waves, axis=0)
+    per_edge = np.empty((mesh.num_edges, waves.shape[1]))
+    for rows in row_blocks(mesh.num_edges):
+        along = mesh.edge_lengths[rows, None] * _edge_means(mesh, rows, waves, np.sin)
+        per_edge[rows] = along * (mesh.edge_normals[rows] @ waves) / scale
+    mean, osc = np.empty(mesh.num_triangles), np.empty(mesh.num_triangles)
+    for rows in row_blocks(mesh.num_triangles):
+        cosines = _cell_sums(mesh, per_edge, rows)
+        area = mesh.areas[rows]
+        integral = np.pi**2 * (cosines[:, 0] - cosines[:, 1])
+        square = np.pi**4 * (
+            area + 0.5 * (cosines[:, 2] + cosines[:, 3]) - cosines[:, 4] - cosines[:, 5]
+        )
+        mean[rows] = integral / area
+        osc[rows] = np.maximum(square - integral * mean[rows], 0.0)
+    return mean, osc
 
 
 def exact_energy_error(solution):

@@ -20,6 +20,17 @@ import numpy as np
 from .errors import MeshError
 
 MAX_LEVEL = 8
+# rows of triangles or edges that a per-cell map evaluates at once, so that its
+# temporaries are bounded by the block, not by the mesh; at 4096 the blocked
+# maps run as fast as whole-mesh ones at level 5, and 8192 lifts the n = 128
+# manufactured peak from 337 to 383 bytes per triangle
+BLOCK_ROWS = 4096
+
+
+def row_blocks(rows):
+    """Slices of at most ``BLOCK_ROWS`` consecutive rows covering ``range(rows)``."""
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, rows, BLOCK_ROWS)]
+
 
 @dataclass
 class TriMesh:

@@ -236,3 +236,21 @@ class TestManufactured:
     def test_rejects_lshape(self, mesh_cache):
         with pytest.raises(ValueError):
             manufactured.solve(mesh_cache("lshape", 0))
+
+    # the closed forms hold on the unit square only: on the L-shape of level 0,
+    # with the square's constant 1/(pi sqrt 2), which holds on the L-shape
+    # inside it, they read an exact error of 1.862 above a majorant of 1.828
+    @pytest.mark.parametrize("closed_form", ["source_moments", "grad_u_integrals"])
+    def test_closed_form_rejects_lshape(self, mesh_cache, closed_form):
+        with pytest.raises(ValueError, match="posed on the unit square"):
+            getattr(manufactured, closed_form)(mesh_cache("lshape", 0))
+
+    def test_exact_error_rejects_lshape(self, mesh_cache):
+        s = solve_diffusion(mesh_cache("lshape", 0), IDENT, manufactured.source)
+        with pytest.raises(ValueError, match="posed on the unit square"):
+            manufactured.exact_energy_error(s)
+
+    def test_majorant_total_rejects_lshape(self, mesh_cache):
+        s = solve_diffusion(mesh_cache("lshape", 0), IDENT, manufactured.source)
+        with pytest.raises(ValueError, match="posed on the unit square"):
+            manufactured.majorant_total(0.5, s, rt_average(s, IDENT))

@@ -1,7 +1,9 @@
-"""tools/write_bench.py: its benchmark run helper and its code-line count."""
+"""tools/write_bench.py: its benchmark run helper, its pair arithmetic, its
+child launcher and its code-line count."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,9 @@ def write_bench():
 def _fake_run(monkeypatch, write_bench, lines):
     argvs = []
     monkeypatch.setattr(
-        write_bench, "_stdout", lambda *argv: argvs.append(argv) or "\n".join(lines) + "\n"
+        write_bench,
+        "_stdout",
+        lambda *argv, **where: argvs.append(argv) or "\n".join(lines) + "\n",
     )
     return argvs
 
@@ -49,6 +53,67 @@ def test_a_failed_run_stops_the_writer(write_bench, monkeypatch):
     _fake_run(monkeypatch, write_bench, ["FAILED delta 1: c_estimate <= bound", json.dumps(result)])
     with pytest.raises(SystemExit, match=r"^oracle_cfa: 2 checks failed$"):
         write_bench._bench("oracle_cfa")
+
+
+def _runs(**metrics):
+    """Fake run results, one per position of the value lists."""
+    count = len(next(iter(metrics.values())))
+    return [
+        {
+            "correct": True,
+            "attempted": 5,
+            "failed": 0,
+            "metrics": {m: {"value": v[i], "unit": "u"} for m, v in metrics.items()},
+        }
+        for i in range(count)
+    ]
+
+
+def test_pairs_give_medians_quartiles_and_wins(write_bench):
+    parent = _runs(wall_s=[1.0, 2.0, 3.0, 4.0, 5.0], items_per_s=[10.0, 10.0, 10.0, 10.0, 10.0])
+    change = _runs(wall_s=[0.5, 2.5, 2.0, 4.0, 4.5], items_per_s=[11.0, 9.0, 10.0, 12.0, 13.0])
+    record = write_bench._pairs(parent, change, {"wall_s": "lower", "items_per_s": "higher"})
+    assert record["wall_s"] == {
+        "parent": {"median": 3.0, "q1": 2.0, "q3": 4.0},
+        "change": {"median": 2.5, "q1": 2.0, "q3": 4.0},
+        # 0.5 < 1 and 2 < 3 and 4.5 < 5 win; 2.5 > 2 loses; a tie is no win
+        "wins": 3,
+        "better": "lower",
+    }
+    assert record["items_per_s"]["wins"] == 3
+    assert record["items_per_s"]["change"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+
+
+def test_quartiles_interpolate_between_runs(write_bench):
+    assert write_bench._spread([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+
+
+def test_medians_keep_the_shape_of_a_result(write_bench):
+    runs = _runs(wall_s=[3.0, 1.0, 2.0], peak_rss_mb=[70.0, 72.0, 71.0])
+    assert write_bench._medians(runs) == {
+        "correct": True,
+        "runs": 3,
+        "metrics": {
+            "wall_s": {"value": 2.0, "unit": "u"},
+            "peak_rss_mb": {"value": 71.0, "unit": "u"},
+        },
+    }
+
+
+def test_a_childs_peak_is_its_own(write_bench):
+    # a child forked from this process would start at this process's RSS;
+    # through the launcher it starts at the launcher's few MB
+    fresh = write_bench._python_once("-c", "pass")
+    ballast = b"\x01" * (64 * 2**20)
+    loaded = write_bench._python_once("-c", "pass")
+    assert len(ballast) == 64 * 2**20
+    assert abs(loaded["peak_rss_mb"] - fresh["peak_rss_mb"]) <= 1.0
+    assert loaded["peak_rss_mb"] < 40
+
+
+def test_a_failing_child_raises(write_bench):
+    with pytest.raises(subprocess.CalledProcessError):
+        write_bench._python_once("-c", "raise SystemExit(3)")
 
 
 SOURCE = '''"""Module docstring

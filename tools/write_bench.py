@@ -1,15 +1,31 @@
 """Write BENCH_<short sha>.json at the root of the checkout that holds this file.
 
     python3 tools/write_bench.py
+    python3 tools/write_bench.py --against REV [--pairs N]
 
-Runs ``perfbench/run.py --workload W --trace 0`` once for each workload and
+Without ``--against`` the tool measures this checkout.  It runs
+``perfbench/run.py --workload W --trace 0`` once for each workload and
 keeps the last line of each run, the JSON result; it makes no traced run, so
 the file holds no per-layer table.  A run whose checks fail stops the tool
 with one line naming the workload and its ``failed`` count, before any file
-is written.  The ``oracle_cfa`` run's ``count oracle.outer_iters.delta*``
-lines give the LOBPCG step count of each anisotropy (``oracle_cfa_steps``).
-The rest is measured in this process, with ``src`` on ``sys.path``.
-``table2_aniso_cg_iterations`` is the ``iterations`` of
+is written.
+
+With ``--against REV`` it checks REV out with ``git worktree add`` into a
+temporary directory (local: no network), measures both trees with this
+version of the tool and removes the worktree again.  Each benchmark
+workload runs N times on each tree (``--pairs``, default 10), the two trees
+alternating and the one to go first alternating from pair to pair, so that
+a slow spell of a shared machine falls on both.  Both BENCH files are
+written, REV's first; each file's ``results`` holds the median of each
+metric over its N runs.  The change's file also holds the ``pairs`` record:
+for each workload and metric the median and the quartiles on each tree, and
+``wins``, the pairs in which this checkout did better (by the ``better`` of
+``BENCHMARK.json``).
+
+The ``oracle_cfa`` run's ``count oracle.outer_iters.delta*`` lines give the
+LOBPCG step count of each anisotropy (``oracle_cfa_steps``).  The rest is
+measured in one child process per tree that imports fria from that tree's
+``src``.  ``table2_aniso_cg_iterations`` is the ``iterations`` of
 ``fem.solve_diffusion`` on ``build_lshape(L)`` with diag(1, 1e-4) and f = 1
 for L = 0..5, as ``table2_aniso`` solves them.
 ``table2_l5_stages_s`` times the stages of the level-5 solve, the fastest of
@@ -32,64 +48,125 @@ slower machine from a change of code.  Then ``python -m fria.cli experiment
 table2 --levels 5``, ``--levels 6``, ``--levels 7`` (6.29M triangles, about
 2.1 GB at peak) and ``--levels 5 --alpha diag:1,1`` (about 1169 line-CG
 iterations: the isotropic weight is the one the line relaxation suits
-least) run each in a child process of its own, with ``PYTHONPATH=src``;
-the file keeps the wall time of
-each, that child's peak RSS and its user + system CPU seconds (``cpu_s``),
-read from ``os.wait4`` (``RUSAGE_CHILDREN`` would mix in the benchmark
-runs).  A wall time that moves while ``cpu_s`` stays put points at the
-machine, not the code.  The short runs, children the same way, take 0.1 to
-0.35 s, so a single run varies by a few percent; each keeps the fastest of 5
-child runs, with that run's peak RSS and CPU seconds: ``oracle cfa --n 128``
-and ``oracle cfa --domain lshape --level 4`` (one oracle call each, so each
-coarse mesh is built once at any commit), and the cold starts ``bounds
-friedrichs --lengths 1,1 --weight diag:1,1e-4``, ``table 1``, ``bounds
-friedrichs --lengths 1,1 --weight full:2,0.5,1`` (a full weight, whose
-eigenvalues load numpy) and ``python -c "import fria"`` (kept as ``import
-fria``), mostly interpreter and import time.  The child runs come before
-the measurements in this process, so that a child's peak RSS, which starts
-at this process's RSS at the fork, does not carry their meshes.  The file
-also records the Python, numpy and scipy versions, the CPUs the
-process may use, the commit, whether tracked files differ from it,
-``src_lines``, the total line count of ``src/fria/*.py``, and
-``src_code_lines``, the lines of those files that are not blank, not ``#``
-comments and not inside a module, class or function docstring;
-``bench_code_lines`` counts ``perfbench/*.py`` and ``tools/*.py`` the same
-way.
+least) run each in a child process of its own, with ``PYTHONPATH`` the
+tree's ``src``; the file keeps the wall time of each, that child's peak RSS
+and its user + system CPU seconds (``cpu_s``).  A wall time that moves while
+``cpu_s`` stays put points at the machine, not the code.  Each child starts
+through a launcher, a ``python -S`` that forks, execs the child and reads
+its usage from ``os.wait4``: a child's peak RSS starts at the RSS its parent
+had at the fork, and the launcher's is a few MB, where this tool's is tens.
+The short runs take 0.1 to 0.35 s, so a single run varies by a few percent;
+each keeps the fastest of 5 child runs, with that run's peak RSS and CPU
+seconds: ``oracle cfa --n 128`` and ``oracle cfa --domain lshape --level 4``
+(one oracle call each, so each coarse mesh is built once at any commit), and
+the cold starts ``bounds friedrichs --lengths 1,1 --weight diag:1,1e-4``,
+``table 1``, ``bounds friedrichs --lengths 1,1 --weight full:2,0.5,1`` (a
+full weight, whose eigenvalues load numpy) and ``python -c "import fria"``
+(kept as ``import fria``), mostly interpreter and import time.  The file
+also records the Python, numpy and scipy versions, the CPUs the process may
+use, the commit, whether tracked files differ from it, ``src_lines``, the
+total line count of ``src/fria/*.py``, and ``src_code_lines``, the lines of
+those files that are not blank, not ``#`` comments and not inside a module,
+class or function docstring; ``bench_code_lines`` counts ``perfbench/*.py``
+and ``tools/*.py`` the same way.
 """
 
+import argparse
 import ast
+import contextlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-import numpy
-import scipy
-
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
 WORKLOADS = ("table2_aniso", "manufactured_square", "oracle_cfa", "bounds_sweep")
+# forks, execs argv[1:] with stdout on /dev/null and prints the child's
+# status, wall seconds, CPU seconds and peak RSS in KiB; -S keeps it small
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.execv(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - start
+print(os.waitstatus_to_exitcode(status), wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+"""
+# run in a child with a tree's src first on sys.path: this tool's in-process
+# measurements, printed as JSON
+IN_PROCESS = "import json, runpy, sys; print(json.dumps(runpy.run_path(sys.argv[1])['_in_process']()))"
 
 
-def _stdout(*argv):
-    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+def _stdout(*argv, cwd=ROOT, env=None):
+    run = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return run.stdout
 
 
-def _bench(workload):
+def _tree_env(tree):
+    return {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+
+def _bench(workload, tree=ROOT):
     """The JSON result of one untraced ``perfbench/run.py`` run of
-    ``workload`` and its ``count`` lines as a dict; exits when a check
-    failed."""
+    ``workload`` in ``tree`` and its ``count`` lines as a dict; exits when a
+    check failed."""
     argv = (sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0")
-    lines = _stdout(*argv).splitlines()
+    lines = _stdout(*argv, cwd=tree).splitlines()
     result = json.loads(lines[-1])
     if not result["correct"]:
         sys.exit(f"{workload}: {result['failed']} checks failed")
     counts = (line.split()[1:] for line in lines if line.startswith("count "))
     return result, {key: json.loads(value) for key, value in counts}
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _pairs(parent, change, better):
+    """Per metric of the runs' ``metrics``: the median and quartiles of the
+    parent's and of the change's runs, and the pairs the change wins.
+    ``parent`` and ``change`` are lists of run results, paired by position;
+    ``better`` maps a metric to ``"lower"`` or ``"higher"``."""
+    record = {}
+    for metric in change[0]["metrics"]:
+        old, new = ([run["metrics"][metric]["value"] for run in runs] for runs in (parent, change))
+        sign = 1 if better[metric] == "higher" else -1
+        record[metric] = {
+            "parent": _spread(old),
+            "change": _spread(new),
+            "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+            "better": better[metric],
+        }
+    return record
+
+
+def _medians(runs):
+    """One result holding the median of each metric over ``runs``."""
+    metrics = runs[0]["metrics"]
+    return {
+        "correct": all(run["correct"] for run in runs),
+        "runs": len(runs),
+        "metrics": {
+            name: {
+                "value": statistics.median(run["metrics"][name]["value"] for run in runs),
+                "unit": metric["unit"],
+            }
+            for name, metric in metrics.items()
+        },
+    }
 
 
 def _cg_iterations():
@@ -181,8 +258,35 @@ def _mesh_build_peak_b_per_tri():
 
 def _calibration_s():
     """Fastest of 5 timings of a sort and a running sum in numpy alone."""
+    import numpy
+
     values = numpy.random.default_rng(0).standard_normal(2**21)
     return _best_of(lambda: numpy.cumsum(numpy.sort(values)))
+
+
+def _in_process():
+    """The measurements made in this process, which imports fria from the
+    first ``src`` on its path."""
+    import numpy
+    import scipy
+
+    import fria
+
+    return {
+        "fria": fria.__file__,
+        "env": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+        },
+        "table2_aniso_cg_iterations": _cg_iterations(),
+        "table2_l5_stages_s": _table2_l5_stages_s(),
+        "oracle_cfa_setup_s": _oracle_setup_s(),
+        "mesh_layer_s": _mesh_layer_s(),
+        "mesh_build_peak_b_per_tri": _mesh_build_peak_b_per_tri(),
+        "calibration_s": _calibration_s(),
+    }
 
 
 def _code_lines(path):
@@ -201,35 +305,24 @@ def _code_lines(path):
     )
 
 
-def _python_run(*args, runs=1):
+def _python_run(*args, tree=ROOT, runs=1):
     """Wall time, peak RSS and CPU seconds of the fastest of ``runs`` child
-    runs of ``python args``."""
-    return min((_python_once(*args) for _ in range(runs)), key=lambda run: run["wall_s"])
+    runs of ``python args`` in ``tree``."""
+    return min((_python_once(*args, tree=tree) for _ in range(runs)), key=lambda run: run["wall_s"])
 
 
-def _python_once(*args):
+def _python_once(*args, tree=ROOT):
     argv = [sys.executable, *args]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    start = time.perf_counter()
-    child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode:
-        raise subprocess.CalledProcessError(child.returncode, argv)
-    return {
-        "wall_s": wall,
-        "cpu_s": usage.ru_utime + usage.ru_stime,
-        "peak_rss_mb": usage.ru_maxrss / 1024,
-    }
+    out = _stdout(sys.executable, "-S", "-c", LAUNCHER, *argv, cwd=tree, env=_tree_env(tree))
+    code, wall, cpu, maxrss = out.split()
+    if int(code):
+        raise subprocess.CalledProcessError(int(code), argv)
+    return {"wall_s": float(wall), "cpu_s": float(cpu), "peak_rss_mb": int(maxrss) / 1024}
 
 
-def main():
-    runs = {w: _bench(w) for w in WORKLOADS}
-    _, counts = runs["oracle_cfa"]
-    steps = {k.removeprefix("oracle.outer_iters.delta"): v for k, v in counts.items()}
+def _cli_runs(tree):
     table2 = [f"table2 --levels {levels}" for levels in ("5", "6", "7", "5 --alpha diag:1,1")]
-    cli_runs = {v: _python_run("-m", "fria.cli", "experiment", *v.split()) for v in table2}
+    runs = {v: _python_run("-m", "fria.cli", "experiment", *v.split(), tree=tree) for v in table2}
     for verb in (
         "oracle cfa --n 128",
         "oracle cfa --domain lshape --level 4",
@@ -237,36 +330,94 @@ def main():
         "table 1",
         "bounds friedrichs --lengths 1,1 --weight full:2,0.5,1",
     ):
-        cli_runs[verb] = _python_run("-m", "fria.cli", *verb.split(), runs=5)
-    cli_runs["import fria"] = _python_run("-c", "import fria", runs=5)
-    sha = _stdout("git", "rev-parse", "HEAD").strip()
+        runs[verb] = _python_run("-m", "fria.cli", *verb.split(), tree=tree, runs=5)
+    runs["import fria"] = _python_run("-c", "import fria", tree=tree, runs=5)
+    return runs
+
+
+def _write(tree, results, counts, **extra):
+    """Measure ``tree`` and write its BENCH file at the root of this checkout."""
+    sha = _stdout("git", "rev-parse", "HEAD", cwd=tree).strip()
+    cli_runs = _cli_runs(tree)
+    in_process = (sys.executable, "-c", IN_PROCESS, __file__)
+    measured = json.loads(_stdout(*in_process, cwd=tree, env=_tree_env(tree)))
+    if not Path(measured.pop("fria")).is_relative_to(tree / "src"):
+        sys.exit(f"the measuring child did not import fria from {tree / 'src'}")
     record = {
         "commit": sha,
-        "dirty": bool(_stdout("git", "status", "--porcelain", "--untracked-files=no").strip()),
-        "env": {
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-            "nproc": len(os.sched_getaffinity(0)),
-        },
-        "results": {w: result for w, (result, _) in runs.items()},
-        "table2_aniso_cg_iterations": _cg_iterations(),
-        "table2_l5_stages_s": _table2_l5_stages_s(),
-        "oracle_cfa_steps": steps,
-        "oracle_cfa_setup_s": _oracle_setup_s(),
-        "mesh_layer_s": _mesh_layer_s(),
-        "mesh_build_peak_b_per_tri": _mesh_build_peak_b_per_tri(),
-        "calibration_s": _calibration_s(),
-        "cli_runs": cli_runs,
-        "src_lines": sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/fria/*.py")),
-        "src_code_lines": sum(_code_lines(p) for p in ROOT.glob("src/fria/*.py")),
-        "bench_code_lines": sum(
-            _code_lines(p) for d in ("perfbench", "tools") for p in ROOT.glob(f"{d}/*.py")
+        "dirty": bool(
+            _stdout("git", "status", "--porcelain", "--untracked-files=no", cwd=tree).strip()
         ),
+        "env": measured.pop("env"),
+        "results": results,
+        **measured,
+        "oracle_cfa_steps": {
+            k.removeprefix("oracle.outer_iters.delta"): v for k, v in counts.items()
+        },
+        "cli_runs": cli_runs,
+        "src_lines": sum(len(p.read_text().splitlines()) for p in tree.glob("src/fria/*.py")),
+        "src_code_lines": sum(_code_lines(p) for p in tree.glob("src/fria/*.py")),
+        "bench_code_lines": sum(
+            _code_lines(p) for d in ("perfbench", "tools") for p in tree.glob(f"{d}/*.py")
+        ),
+        **extra,
     }
     path = ROOT / f"BENCH_{sha[:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
+
+
+@contextlib.contextmanager
+def _worktree(rev):
+    """A detached checkout of ``rev`` in a temporary directory, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="write_bench-") as parent:
+        tree = Path(parent) / "tree"
+        _stdout("git", "worktree", "add", "--detach", str(tree), rev)
+        try:
+            yield tree
+        finally:
+            _stdout("git", "worktree", "remove", "--force", str(tree))
+
+
+def _against(rev, pairs):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    with _worktree(rev) as parent:
+        trees = (parent, ROOT)
+        runs = {tree: {w: [] for w in WORKLOADS} for tree in trees}
+        for i in range(pairs):
+            for workload in WORKLOADS:
+                for tree in trees if i % 2 == 0 else trees[::-1]:
+                    runs[tree][workload].append(_bench(workload, tree))
+        results = {
+            tree: {w: _medians([result for result, _ in runs[tree][w]]) for w in WORKLOADS}
+            for tree in trees
+        }
+        steps = {tree: runs[tree]["oracle_cfa"][0][1] for tree in trees}
+        _write(parent, results[parent], steps[parent])
+        record = {
+            "against": _stdout("git", "rev-parse", "HEAD", cwd=parent).strip(),
+            "pairs": pairs,
+            "workloads": {
+                w: _pairs(*([result for result, _ in runs[tree][w]] for tree in trees), better)
+                for w in WORKLOADS
+            },
+        }
+        _write(ROOT, results[ROOT], steps[ROOT], pairs=record)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV", help="also measure REV and compare in pairs")
+    parser.add_argument("--pairs", type=int, default=10, help="runs of each workload per tree")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    if args.against is not None:
+        _against(args.against, args.pairs)
+        return
+    runs = {w: _bench(w) for w in WORKLOADS}
+    _write(ROOT, {w: result for w, (result, _) in runs.items()}, runs["oracle_cfa"][1])
 
 
 if __name__ == "__main__":
