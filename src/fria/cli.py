@@ -21,8 +21,9 @@ from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 # --method name -> Friedrichs formula (the Maxwell arm too); also the argparse choices
 _FRIEDRICHS_FORMULAS = {"auto": friedrichs.best_bound, **friedrichs.FORMULAS}
 # bytes per triangle of the finest level at the experiment's peak, the solve
-# (299 measured at level 4, 298 at level 5; the blocked majorant norms stay below)
-_EXPERIMENT_BYTES_PER_TRIANGLE = 300
+# (tracemalloc: 299 at level 4, 298 at level 5; the blocked majorant norms stay
+# below). The peak RSS of --levels 7 reads about 320 above the interpreter's own.
+_EXPERIMENT_BYTES_PER_TRIANGLE = 320
 # bytes per triangle at the oracle's peak, the mesh build included (469 measured
 # at level 5, 464 at n = 512)
 _ORACLE_BYTES_PER_TRIANGLE = 480

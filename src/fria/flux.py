@@ -5,11 +5,12 @@ normal component across that edge, signed by the mesh normal convention.
 Normal continuity across interior edges then holds by construction, and
 the per-triangle divergence follows exactly from the divergence theorem.
 
-Every map here is per edge or per triangle.  Each runs over blocks of
-``mesh.BLOCK_ROWS`` rows (``mesh.row_blocks``) written into one full
-per-row array, so its temporaries are bounded by the block, not by the
-mesh; a norm is one ``np.sum`` of its full density array, which gives the
-bits of the whole-mesh formulas.
+Every map here is per edge or per triangle.  Edge averaging and the two
+norms run over blocks of ``mesh.BLOCK_ROWS`` rows (``mesh.row_blocks``)
+written into one full per-row array, so their temporaries are bounded by
+the block, not by the mesh; a norm is one ``np.sum`` of its full density
+array, which gives the bits of the whole-mesh formulas.  ``rt_divergence``,
+which the certification path does not call, is one whole-mesh call.
 """
 
 from dataclasses import dataclass
@@ -59,10 +60,7 @@ def _divergence(field, rows):
 
 def rt_divergence(field):
     """Per-triangle divergence: outward-signed edge dofs over the area."""
-    div = np.empty(field.mesh.num_triangles)
-    for rows in row_blocks(len(div)):
-        div[rows] = _divergence(field, rows)
-    return div
+    return _divergence(field, slice(None))
 
 
 def residual_norm(field, f):

@@ -324,7 +324,7 @@ class TestErrors:
         assert message in err
         assert path.read_bytes() == b"kept\n"
 
-    @pytest.mark.parametrize("levels,available", [("8", 7.0e9), ("3:5", 1e8)])
+    @pytest.mark.parametrize("levels,available", [("8", 7.7e9), ("3:5", 1e8)])
     def test_level_that_cannot_fit_is_refused_before_any_work(
         self, capsys, monkeypatch, tmp_path, levels, available
     ):

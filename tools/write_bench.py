@@ -1,7 +1,7 @@
 """Write BENCH_<short sha>.json at the root of the checkout that holds this file.
 
     python3 tools/write_bench.py
-    python3 tools/write_bench.py --against REV [--pairs N]
+    python3 tools/write_bench.py --against REV
 
 Without ``--against`` the tool measures this checkout.  It runs
 ``perfbench/run.py --workload W --trace 0`` once for each workload and
@@ -13,11 +13,11 @@ is written.
 With ``--against REV`` it checks REV out with ``git worktree add`` into a
 temporary directory (local: no network), measures both trees with this
 version of the tool and removes the worktree again.  Each benchmark
-workload runs N times on each tree (``--pairs``, default 10), the two trees
+workload runs ``PAIRS`` (10) times on each tree, the two trees
 alternating and the one to go first alternating from pair to pair, so that
 a slow spell of a shared machine falls on both.  Both BENCH files are
 written, REV's first; each file's ``results`` holds the median of each
-metric over its N runs.  The change's file also holds the ``pairs`` record:
+metric over its ten runs.  The change's file also holds the ``pairs`` record:
 for each workload and metric the median and the quartiles on each tree, and
 ``wins``, the pairs in which this checkout did better (by the ``better`` of
 ``BENCHMARK.json``).
@@ -87,6 +87,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("table2_aniso", "manufactured_square", "oracle_cfa", "bounds_sweep")
+# runs of each workload per tree with --against; a gain needs wins in nine tenths of ten
+PAIRS = 10
 # forks, execs argv[1:] with stdout on /dev/null and prints the child's
 # status, wall seconds, CPU seconds and peak RSS in KiB; -S keeps it small
 LAUNCHER = """
@@ -379,13 +381,13 @@ def _worktree(rev):
             _stdout("git", "worktree", "remove", "--force", str(tree))
 
 
-def _against(rev, pairs):
+def _against(rev):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     with _worktree(rev) as parent:
         trees = (parent, ROOT)
         runs = {tree: {w: [] for w in WORKLOADS} for tree in trees}
-        for i in range(pairs):
+        for i in range(PAIRS):
             for workload in WORKLOADS:
                 for tree in trees if i % 2 == 0 else trees[::-1]:
                     runs[tree][workload].append(_bench(workload, tree))
@@ -397,7 +399,7 @@ def _against(rev, pairs):
         _write(parent, results[parent], steps[parent])
         record = {
             "against": _stdout("git", "rev-parse", "HEAD", cwd=parent).strip(),
-            "pairs": pairs,
+            "pairs": PAIRS,
             "workloads": {
                 w: _pairs(*([result for result, _ in runs[tree][w]] for tree in trees), better)
                 for w in WORKLOADS
@@ -409,12 +411,9 @@ def _against(rev, pairs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", help="also measure REV and compare in pairs")
-    parser.add_argument("--pairs", type=int, default=10, help="runs of each workload per tree")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     if args.against is not None:
-        _against(args.against, args.pairs)
+        _against(args.against)
         return
     runs = {w: _bench(w) for w in WORKLOADS}
     _write(ROOT, {w: result for w, (result, _) in runs.items()}, runs["oracle_cfa"][1])
