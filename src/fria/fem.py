@@ -5,7 +5,10 @@ Every system is the homogeneous Dirichlet one, on the interior vertices
 alone: the boundary rows and columns are never assembled, which keeps it
 exactly symmetric positive definite.  Its matrices are gathered from
 per-vertex and per-edge sums into the interior CSR pattern that scipy's COO
-to CSR conversion sorts (``_pattern``), which no weight enters;
+to CSR conversion sorts (``_pattern``), which no weight enters.  The sums
+run over blocks of ``mesh.BLOCK_ROWS`` triangles, each block's basis
+gradients formed there (``mesh.basis_gradients``), so no per-triangle entry
+array spans the mesh, and a solution's gradients are formed the same way;
 ``Dirichlet.stiffness`` assembles the stiffness on it with its
 line-relaxation preconditioner.  The solver is conjugate gradients; its
 results repeat bit for bit at a fixed BLAS thread count, as numpy's dot
@@ -22,6 +25,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import SolverError
+from .mesh import basis_gradients, row_blocks
 
 # relative residual of the Galerkin solves
 RTOL = 1e-10
@@ -44,7 +48,12 @@ class P1Solution:
 
     @cached_property
     def gradients(self):
-        return np.einsum("tj,tjx->tx", np.take(self.values, self.mesh.triangles), self.mesh.grads)
+        mesh = self.mesh
+        gradients = np.empty((mesh.num_triangles, 2))
+        for rows in row_blocks(len(gradients)):
+            corners = np.take(self.values, mesh.triangles[rows])
+            gradients[rows] = np.einsum("tj,tjx->tx", corners, basis_gradients(mesh, rows))
+        return gradients
 
 
 def _pattern(mesh):
@@ -81,48 +90,54 @@ def _pattern(mesh):
 
 
 def _stiffness_entries(mesh, a):
-    """Yields each triangle's (nt, 3) diagonal entries |T| (G a G^T)_jj for
-    the (2, 2) float array ``a``, then its (nt, 3) shares of its edges'
-    entries, edge j opposite local vertex j: the mean of |T| (G a G^T)_ik and
-    _ki over its other two vertices i and k, which makes the matrix exactly
-    symmetric despite rounding.  Each is made once ``_sums`` has dropped the
-    one before, and one row of G a is alive at a time."""
-    g = mesh.grads
+    """``entries(rows)`` of the stiffness of the (2, 2) float array ``a``: for
+    the triangles ``rows``, their diagonal entries |T| (G a G^T)_jj and their
+    shares of their edges' entries, edge j opposite local vertex j: the mean
+    of |T| (G a G^T)_ik and _ki over its other two vertices i and k, which
+    makes the matrix exactly symmetric despite rounding."""
 
-    def local(ga, j):  # |T| (G a G^T)_ij of every triangle, for ga row i of G a
-        return (ga[:, None, :] @ g[:, j, :, None])[:, 0, 0] * mesh.areas
+    def entries(rows):
+        g = basis_gradients(mesh, rows)
+        ga = [g[:, i] @ a for i in range(3)]  # the rows of G a
 
-    diagonal = np.empty((len(g), 3))
-    for i in range(3):
-        diagonal[:, i] = local(g[:, i] @ a, i)
-    yield diagonal
-    del diagonal
-    edge = np.zeros((len(g), 3))
-    for i in range(3):
-        ga = g[:, i] @ a
-        edge[:, (i + 2) % 3] += local(ga, (i + 1) % 3)
-        edge[:, (i + 1) % 3] += local(ga, (i + 2) % 3)
-        del ga  # before the next row is made
-    edge *= 0.5
-    yield edge
+        def local(i, j):  # |T| (G a G^T)_ij of every triangle
+            return (ga[i][:, None, :] @ g[:, j, :, None])[:, 0, 0] * mesh.areas[rows]
+
+        diagonal = np.column_stack([local(i, i) for i in range(3)])
+        edge = np.zeros_like(diagonal)
+        for i in range(3):
+            edge[:, (i + 2) % 3] += local(i, (i + 1) % 3)
+            edge[:, (i + 1) % 3] += local(i, (i + 2) % 3)
+        edge *= 0.5
+        return diagonal, edge
+
+    return entries
 
 
 def _mass_entries(mesh):
-    """Yields each triangle's consistent mass entries: |T| 2/12 on the
-    diagonal, then |T| 1/12 on the edges."""
-    share = np.repeat(mesh.areas[:, None] * (1.0 / 12.0), 3, axis=1)
-    yield 2.0 * share
-    yield share
+    """``entries(rows)`` of the consistent mass: |T| 2/12 on the diagonal and
+    |T| 1/12 on the edges of the triangles ``rows``."""
+
+    def entries(rows):
+        share = np.repeat(mesh.areas[rows] * (1.0 / 12.0), 3)
+        return 2.0 * share, share
+
+    return entries
 
 
 def _sums(mesh, entries):
-    """Each vertex's sum over ``triangles`` of the first (nt, 3) array that
-    ``entries`` yields, then each edge's sum over ``tri_edges`` of the second;
-    ``np.bincount`` adds in triangle order."""
+    """Each vertex's sum over ``triangles`` of the diagonal entries, and each
+    edge's sum over ``tri_edges`` of the edge entries, that ``entries(rows)``
+    gives for each block of triangles ``rows`` (``mesh.row_blocks``), so no
+    entry array spans the mesh.  ``np.add.at`` adds one term at a time in
+    triangle order, which gives the bits of one whole-mesh ``np.bincount``;
+    it takes its fast path on flat arrays only (2-D ones run 5x slower)."""
     nv = mesh.num_vertices
-    sums = np.empty(nv + mesh.num_edges)
-    sums[:nv] = np.bincount(mesh.triangles.ravel(), next(entries).ravel(), nv)
-    sums[nv:] = np.bincount(mesh.tri_edges.ravel(), next(entries).ravel(), mesh.num_edges)
+    sums = np.zeros(nv + mesh.num_edges)
+    for rows in row_blocks(mesh.num_triangles):
+        diagonal, edge = entries(rows)
+        np.add.at(sums[:nv], mesh.triangles[rows].ravel(), diagonal.ravel())
+        np.add.at(sums[nv:], mesh.tri_edges[rows].ravel(), edge.ravel())
     return sums
 
 

@@ -9,15 +9,17 @@ Every map here is per edge or per triangle.  Edge averaging and the two
 norms run over blocks of ``mesh.BLOCK_ROWS`` rows (``mesh.row_blocks``)
 written into one full per-row array, so their temporaries are bounded by
 the block, not by the mesh; a norm is one ``np.sum`` of its full density
-array, which gives the bits of the whole-mesh formulas.  ``rt_divergence``,
-which the certification path does not call, is one whole-mesh call.
+array, which gives the bits of the whole-mesh formulas.  The outward signs
+of a block's edges are formed with it (``mesh.edge_signs``); the mesh holds
+none.  ``rt_divergence``, which the certification path does not call, is one
+whole-mesh call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import row_blocks
+from .mesh import edge_signs, row_blocks
 
 
 @dataclass
@@ -41,7 +43,8 @@ def rt_average(solution, alpha):
     for rows in row_blocks(len(dofs)):
         adj = mesh.edge_tris[rows]
         # a boundary edge's missing neighbour -1 gathers the last row, which np.where drops
-        qn = np.einsum("ekx,ex->ek", np.take(flux, adj, axis=0), mesh.edge_normals[rows])
+        q, n = np.take(flux, adj, axis=0), mesh.edge_normals[rows]
+        qn = q[:, :, 0] * n[:, 0, None] + q[:, :, 1] * n[:, 1, None]
         mean = np.where(adj[:, 1] >= 0, 0.5 * (qn[:, 0] + qn[:, 1]), qn[:, 0])
         dofs[rows] = mesh.edge_lengths[rows] * mean
     return RT0Field(mesh, dofs)
@@ -51,7 +54,7 @@ def _signed_dofs(field, rows):
     """Outward-signed dofs of the edges of the triangles ``rows``, edge j
     opposite corner j."""
     mesh = field.mesh
-    return np.take(field.dofs, mesh.tri_edges[rows]) * mesh.tri_edge_signs[rows]
+    return np.take(field.dofs, mesh.tri_edges[rows]) * edge_signs(mesh, rows)
 
 
 def _divergence(field, rows):

@@ -7,8 +7,9 @@ cell moments.  Those moments and the energy error against the exact
 solution evaluate in closed form: by the divergence theorem each
 integral over a triangle is a sum of elementary trigonometric edge terms.
 The edge terms are formed over blocks of ``mesh.BLOCK_ROWS`` edges, then
-summed per triangle over blocks of triangles, so no temporary grows with
-the mesh beyond the per-edge terms and the per-triangle results.  The
+summed per triangle, with the signs of ``mesh.edge_signs``, over blocks of
+triangles, so no temporary grows with the mesh beyond the per-edge terms
+and the per-triangle results.  The
 closed forms hold on the unit square only; each refuses any other mesh.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .fem import solve_diffusion
 from .majorant import evaluate_majorant
-from .mesh import row_blocks
+from .mesh import edge_signs, row_blocks
 from .weights import DiagonalWeight
 
 IDENTITY2 = DiagonalWeight((1.0, 1.0))
@@ -63,7 +64,7 @@ def _cell_sums(mesh, per_edge, rows):
     """Outward-signed sum of the per-edge terms over the edges of each
     triangle of the block ``rows``."""
     gathered = np.take(per_edge, mesh.tri_edges[rows], axis=0)
-    return np.einsum("te,tek->tk", mesh.tri_edge_signs[rows], gathered)
+    return np.einsum("te,tek->tk", edge_signs(mesh, rows), gathered)
 
 
 def grad_u_integrals(mesh):

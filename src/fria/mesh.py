@@ -20,10 +20,11 @@ import numpy as np
 from .errors import MeshError
 
 MAX_LEVEL = 8
-# rows of triangles or edges that a per-cell map evaluates at once, so that its
-# temporaries are bounded by the block, not by the mesh; at 4096 the blocked
-# maps run as fast as whole-mesh ones at level 5, and 8192 lifts the n = 128
-# manufactured peak from 337 to 383 bytes per triangle
+# rows of triangles or edges that a per-cell map, the assembly or a solution's
+# gradients evaluate at once, so that their temporaries are bounded by the
+# block, not by the mesh; at 4096 the blocked maps run as fast as whole-mesh
+# ones at level 5, and 8192 lifted the n = 128 manufactured peak from 337 to
+# 383 bytes per triangle
 BLOCK_ROWS = 4096
 
 
@@ -52,12 +53,12 @@ class TriMesh:
     n : grid resolution (cells per unit length)
     level : refinement index (equals n for square meshes)
 
-    Derived arrays (filled by the builder): per-triangle areas and P1
-    basis gradients, per-edge lengths/normals, and the int32 triangle-to-edge
-    incidence ``tri_edges`` ordered so that edge ``j`` is opposite local
-    vertex ``j``, with ``tri_edge_signs`` +1 where the stored edge normal
-    points out of the triangle.  The signs stay float64: they enter float
-    einsums, which run slower on mixed dtypes.
+    Derived arrays (filled by the builder): per-triangle areas, per-edge
+    lengths/normals, and the int32 triangle-to-edge incidence ``tri_edges``
+    ordered so that edge ``j`` is opposite local vertex ``j``.  The P1 basis
+    gradients and the edge signs follow from these tables; their readers form
+    them per block of rows (``basis_gradients``, ``edge_signs``), so the mesh
+    holds neither.
     """
 
     vertices: np.ndarray
@@ -69,11 +70,9 @@ class TriMesh:
     n: int
     level: int
     areas: np.ndarray
-    grads: np.ndarray
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
     tri_edges: np.ndarray
-    tri_edge_signs: np.ndarray
 
     @property
     def num_vertices(self):
@@ -170,8 +169,6 @@ def _finalize(vertices, triangles, domain, n, level):
     edge_tris = np.full((len(edges), 2), -1, dtype=np.int32)
     edge_tris[:, 0] = first // 3
     edge_tris[shared, 1] = later // 3
-    signs = np.ones(3 * nt)
-    signs[later] = -1.0
     # the lower triangle runs its edge j counterclockwise from corner j + 1 (flat
     # index first + 1, or first - 2 for j = 2), so the lo -> hi normal points out
     # of it unless that corner is hi
@@ -180,17 +177,8 @@ def _finalize(vertices, triangles, domain, n, level):
 
     vx, vy = vertices[:, 0], vertices[:, 1]
     x, y = np.take(vx, triangles), np.take(vy, triangles)
-    twice_area = _twice_signed_areas(x, y)
-    # grad of basis j: the edge from corner j+1 to corner j+2 turned a quarter
-    # counterclockwise, over twice the signed area; each column is divided as it
-    # is written (one broadcast divide of the whole array takes longer)
-    grads = np.empty((nt, 3, 2))
-    for j in range(3):
-        g = grads[:, j]
-        np.subtract(y[:, (j + 1) % 3], y[:, (j + 2) % 3], out=g[:, 0])
-        np.subtract(x[:, (j + 2) % 3], x[:, (j + 1) % 3], out=g[:, 1])
-        np.divide(g[:, 0], twice_area, out=g[:, 0])
-        np.divide(g[:, 1], twice_area, out=g[:, 1])
+    areas = _twice_signed_areas(x, y)
+    areas *= 0.5
     del x, y
 
     tx, ty = (np.take(v, edges[:, 1]) - np.take(v, edges[:, 0]) for v in (vx, vy))
@@ -200,7 +188,7 @@ def _finalize(vertices, triangles, domain, n, level):
     normals = np.empty((len(edges), 2))
     np.divide(ty, signed, out=normals[:, 0])
     np.divide(np.negative(tx, out=tx), signed, out=normals[:, 1])
-    del tx, ty, signed  # freed before areas is made: kept, they raised later peak RSS
+    del tx, ty, signed  # kept until the mesh is assembled, they raised later peak RSS
 
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True
@@ -214,13 +202,38 @@ def _finalize(vertices, triangles, domain, n, level):
         domain=domain,
         n=n,
         level=level,
-        areas=0.5 * twice_area,
-        grads=grads,
+        areas=areas,
         edge_lengths=edge_lengths,
         edge_normals=normals,
         tri_edges=inverse.reshape(nt, 3),
-        tri_edge_signs=signs.reshape(nt, 3),
     )
+
+
+def basis_gradients(mesh, rows):
+    """(t, 3, 2) gradients of the P1 basis functions on the triangles ``rows``
+    (a slice): the gradient of basis j is the edge from corner j + 1 to corner
+    j + 2 turned a quarter counterclockwise, over twice the signed area.
+    ``2 * areas`` is that doubled area exactly, and each component is one
+    subtraction (``x - x`` is +0.0, where a negated difference is -0.0), so
+    the bits do not depend on how the rows are split into blocks."""
+    # whole vertex rows: np.take of a strided column copies the column on every call
+    corners = np.take(mesh.vertices, mesh.triangles[rows], axis=0)
+    x, y = corners[:, :, 0], corners[:, :, 1]
+    grads = np.empty_like(corners)
+    for j in range(3):
+        np.subtract(y[:, (j + 1) % 3], y[:, (j + 2) % 3], out=grads[:, j, 0])
+        np.subtract(x[:, (j + 2) % 3], x[:, (j + 1) % 3], out=grads[:, j, 1])
+    grads /= (2.0 * mesh.areas[rows])[:, None, None]
+    return grads
+
+
+def edge_signs(mesh, rows):
+    """(t, 3) float64 signs of the edges of the triangles ``rows`` (a slice),
+    edge j opposite corner j: -1.0 where the triangle is the edge's second
+    entry in ``edge_tris``, into which its stored normal points, else +1.0."""
+    second = np.take(mesh.edge_tris, mesh.tri_edges[rows], axis=0)[:, :, 1]
+    own = np.arange(*rows.indices(mesh.num_triangles), dtype=np.int32)
+    return np.where(second == own[:, None], -1.0, 1.0)
 
 
 def _build_grid(n, keep):

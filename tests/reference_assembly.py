@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fria import fem
+from fria.mesh import basis_gradients
 
 
 def scatter_local(mesh, local):
@@ -25,7 +26,7 @@ def scatter_local(mesh, local):
 def stiffness_by_triplets(mesh, alpha):
     """Local matrices |T| G alpha G^T, symmetrized, scattered as triplets."""
     a = np.asarray(alpha.matrix, dtype=float)
-    g = mesh.grads
+    g = basis_gradients(mesh, slice(None))
     local = np.einsum("tia,ab,tjb->tij", g, a, g, optimize=True) * mesh.areas[:, None, None]
     local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
     return scatter_local(mesh, local)

@@ -11,6 +11,7 @@ the full per-row array, so the results agree in every bit.
 import numpy as np
 
 from fria.flux import RT0Field
+from fria.mesh import edge_signs
 
 SOURCE_WAVES = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 0.0], [-1.0, 1.0, -2.0, 2.0, 0.0, 2.0]])
 
@@ -28,7 +29,8 @@ def grad_u_integrals(mesh):
     cosines = edge_means(mesh, np.array([[1.0, 1.0], [-1.0, 1.0]]), np.cos)
     along = 0.5 * mesh.edge_lengths * (cosines[:, 0] - cosines[:, 1])
     flux = along[:, None] * mesh.edge_normals
-    return np.einsum("te,tex->tx", mesh.tri_edge_signs, np.take(flux, mesh.tri_edges, axis=0))
+    signs = edge_signs(mesh, slice(None))
+    return np.einsum("te,tex->tx", signs, np.take(flux, mesh.tri_edges, axis=0))
 
 
 def source_moments(mesh):
@@ -36,7 +38,8 @@ def source_moments(mesh):
     waves = SOURCE_WAVES
     along = mesh.edge_lengths[:, None] * edge_means(mesh, waves, np.sin)
     per_edge = along * (mesh.edge_normals @ waves) / (np.pi * np.sum(waves * waves, axis=0))
-    cosines = np.einsum("te,tek->tk", mesh.tri_edge_signs, np.take(per_edge, mesh.tri_edges, axis=0))
+    signs = edge_signs(mesh, slice(None))
+    cosines = np.einsum("te,tek->tk", signs, np.take(per_edge, mesh.tri_edges, axis=0))
     integral = np.pi**2 * (cosines[:, 0] - cosines[:, 1])
     square = np.pi**4 * (
         mesh.areas + 0.5 * (cosines[:, 2] + cosines[:, 3]) - cosines[:, 4] - cosines[:, 5]
@@ -60,7 +63,7 @@ def rt_average(solution, alpha):
 def rt_divergence(field):
     """Per-triangle divergence of an RT0 field."""
     mesh = field.mesh
-    signed = np.take(field.dofs, mesh.tri_edges) * mesh.tri_edge_signs
+    signed = np.take(field.dofs, mesh.tri_edges) * edge_signs(mesh, slice(None))
     return signed.sum(axis=1) / mesh.areas
 
 
@@ -79,7 +82,8 @@ def defect_norm(field, solution, alpha):
     ainv = np.linalg.inv(a)
     corners = (np.take(mesh.vertices[:, k], mesh.triangles) for k in (0, 1))
     ex, ey = (c - ((c[:, 0] + c[:, 1] + c[:, 2]) / 3)[:, None] for c in corners)
-    coeff = np.take(field.dofs, mesh.tri_edges) * mesh.tri_edge_signs / (2.0 * mesh.areas[:, None])
+    signed = np.take(field.dofs, mesh.tri_edges) * edge_signs(mesh, slice(None))
+    coeff = signed / (2.0 * mesh.areas[:, None])
     flux = solution.gradients @ a.T
     dx, dy = (-np.einsum("tj,tj->t", coeff, e) - q for e, q in zip((ex, ey), flux.T))
     half_div = coeff.sum(axis=1)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from fria.flux import rt_divergence
-from fria.mesh import _finalize, build_unit_square
+from fria.mesh import _finalize, build_unit_square, edge_signs
 
 # edge midpoints (barycentric points, weights summing to 1), exact for quadratics
 MIDPOINT3 = (
@@ -58,7 +58,7 @@ def rt_values(field, bary):
     mesh = field.mesh
     corners = mesh.vertices[mesh.triangles]
     pts = physical_points(mesh, bary)
-    coeff = field.dofs[mesh.tri_edges] * mesh.tri_edge_signs
+    coeff = field.dofs[mesh.tri_edges] * edge_signs(mesh, slice(None))
     coeff = coeff / (2.0 * mesh.areas[:, None])
     diff = pts[:, :, None, :] - corners[:, None, :, :]
     return np.einsum("tj,tkjx->tkx", coeff, diff)

@@ -324,7 +324,7 @@ class TestErrors:
         assert message in err
         assert path.read_bytes() == b"kept\n"
 
-    @pytest.mark.parametrize("levels,available", [("8", 7.7e9), ("3:5", 1e8)])
+    @pytest.mark.parametrize("levels,available", [("8", 6.5e9), ("3:5", 1e8)])
     def test_level_that_cannot_fit_is_refused_before_any_work(
         self, capsys, monkeypatch, tmp_path, levels, available
     ):
@@ -348,10 +348,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "size, line",
         [
-            (["--n", "4096"], "n = 4096 needs about 15.0 GiB (480 B x 33554432 triangles)"),
+            (["--n", "4096"], "n = 4096 needs about 13.8 GiB (440 B x 33554432 triangles)"),
             (
                 ["--domain", "lshape", "--level", "8"],
-                "level 8 needs about 11.2 GiB (480 B x 25165824 triangles)",
+                "level 8 needs about 10.3 GiB (440 B x 25165824 triangles)",
             ),
         ],
         ids=["n4096", "L8"],
@@ -521,7 +521,7 @@ class TestRefusalFigures:
     """The bytes per triangle the CLI charges a run before it starts stay at
     or above the tracemalloc peak that run reaches, per triangle of its mesh."""
 
-    # Fixed costs dominate small meshes (the oracle reads 505 B at n = 64),
+    # Fixed costs dominate small meshes (the oracle reads 442 B at n = 64),
     # and a refusal matters only for large ones, so the sizes are L4 and
     # n = 128.  If a peak rises above its figure, re-measure and raise the
     # figure; do not move to a size that happens to pass.
@@ -530,19 +530,19 @@ class TestRefusalFigures:
         [
             (
                 "_EXPERIMENT_BYTES_PER_TRIANGLE",
-                384 * 4**4,  # 299 measured
+                384 * 4**4,  # 222 measured
                 lambda: fria.run_refinement_experiment(
                     [4], ANISO, 1.0, majorant.TABLE2_CONSTANTS
                 ),
             ),
             (
                 "_ORACLE_BYTES_PER_TRIANGLE",
-                384 * 4**4,  # 470 measured
+                384 * 4**4,  # 374 measured
                 lambda: fria.estimate_cfa(fria.build_lshape(4), IDENT),
             ),
             (
                 "_ORACLE_BYTES_PER_TRIANGLE",
-                2 * 128 * 128,  # 473 measured
+                2 * 128 * 128,  # 378 measured
                 lambda: fria.estimate_cfa(fria.build_unit_square(128), IDENT),
             ),
         ],

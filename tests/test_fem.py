@@ -22,6 +22,7 @@ from fria.fem import (
     solve_diffusion,
 )
 from fria.friedrichs import best_bound
+from fria.mesh import basis_gradients
 import fria
 from fria import fem
 from fria.weights import DiagonalWeight, DInterval, FullWeight
@@ -99,7 +100,8 @@ class TestSolve:
         values = np.random.default_rng(3).normal(size=m.num_vertices)
         s = P1Solution(m, values)
         corners = values[m.triangles]
-        by_triangle = sum(corners[:, j, None] * m.grads[:, j] for j in range(3))
+        grads = basis_gradients(m, slice(None))
+        by_triangle = sum(corners[:, j, None] * grads[:, j] for j in range(3))
         assert np.array_equal(s.gradients, by_triangle)
         # a copy with other values derives its own gradients, never a stale one
         doubled = dataclasses.replace(s, values=2.0 * s.values)
@@ -166,7 +168,7 @@ class TestAssembly:
         nv = m.num_vertices
         # sum of |T| grad phi_i^T alpha grad phi_j, and of its magnitudes
         want, scale = np.zeros((nv, nv)), np.zeros((nv, nv))
-        for tri, area, g in zip(m.triangles, m.areas, m.grads):
+        for tri, area, g in zip(m.triangles, m.areas, basis_gradients(m, slice(None))):
             for i in range(3):
                 for j in range(3):
                     value = area * (g[i] @ a @ g[j])

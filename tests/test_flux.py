@@ -13,7 +13,7 @@ from fria.flux import (
     rt_average,
     rt_divergence,
 )
-from fria.mesh import _finalize, build_unit_square
+from fria.mesh import _finalize, build_unit_square, edge_signs
 from fria.weights import DiagonalWeight, FullWeight
 from reference_quadrature import MIDPOINT3, defect_by_rule, rolled_square
 
@@ -104,7 +104,7 @@ class TestDivergence:
             pts = np.einsum("kb,tbx->tkx", centroid, corners)
             pts += np.array([dx, dy])
             # evaluate by the same barycentric formula shifted in space
-            coeff = field.dofs[m.tri_edges] * m.tri_edge_signs
+            coeff = field.dofs[m.tri_edges] * edge_signs(m, slice(None))
             coeff = coeff / (2.0 * m.areas[:, None])
             diff = pts[:, :, None, :] - corners[:, None, :, :]
             deltas.append(np.einsum("tj,tkjx->tkx", coeff, diff)[:, 0, :])
@@ -228,7 +228,7 @@ def test_rt_values_normal_flux_reproduction(mesh_cache):
         ts = np.linspace(0.0, 1.0, 5)[:, None]
         pts = a + ts * (b - a)
         corners = m.vertices[m.triangles[0]]
-        coeff = field.dofs[m.tri_edges[0]] * m.tri_edge_signs[0] / (2.0 * m.areas[0])
+        coeff = field.dofs[m.tri_edges[0]] * edge_signs(m, slice(0, 1))[0] / (2.0 * m.areas[0])
         vals = np.einsum("j,kjx->kx", coeff, pts[:, None, :] - corners[None, :, :])
         fluxes = vals @ m.edge_normals[e]
         # constant along the edge and equal to dof / |e|

@@ -148,17 +148,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         nt = m.num_triangles
-        # int32 index tables and float64 signs hold 173 (int64 tables: 221)
-        assert resident / nt <= 180
-        # the edge sort and the geometry peak at 223 in all, with the grid's
-        # lattice and corner columns freed first (kept alive: 251; np.unique's
-        # sort with its index, inverse and counts, and a masked normal flip: 263;
-        # int64 tables: 322)
-        assert build_peak / nt <= 226
-        # assembly on the interior pattern peaks at 118 with the structure the
-        # mesh keeps (the Neumann COO and its two-step slice: 151; the 9-triplet
-        # scatter: 308)
-        assert assembly_peak / nt <= 130
+        # int32 index tables hold 101 (with the basis gradients and float64
+        # edge signs kept: 173; int64 tables too: 221)
+        assert resident / nt <= 105
+        # the edge sort and the geometry peak at 165 in all, with the grid's
+        # lattice and corner columns freed first (gradients and signs built:
+        # 223; the lattice kept alive too: 251; np.unique's sort with its index,
+        # inverse and counts, and a masked normal flip: 263; int64 tables: 322)
+        assert build_peak / nt <= 168
+        # assembly on the interior pattern peaks at 113, the entries summed per
+        # block of triangles (whole-mesh entries: 118; the Neumann COO and its
+        # two-step slice: 151; the 9-triplet scatter: 308)
+        assert assembly_peak / nt <= 116
 
 
 class TestUnitSquare:
@@ -260,7 +261,7 @@ class TestStructure:
         t = np.arange(m.num_triangles)[:, None]
         lower = m.edge_tris[m.tri_edges, 0] == t
         assert np.array_equal(m.edge_tris[m.tri_edges, 1] == t, ~lower)
-        assert np.array_equal(m.tri_edge_signs, np.where(lower, 1.0, -1.0))
+        assert np.array_equal(mesh.edge_signs(m, slice(None)), np.where(lower, 1.0, -1.0))
 
     def test_opposite_vertex_convention(self, mesh_cache):
         m = mesh_cache("square", 4)
@@ -273,11 +274,12 @@ class TestStructure:
     def test_boundary_edges_outward(self, mesh_cache):
         m = mesh_cache("square", 4)
         b = np.flatnonzero(m.edge_tris[:, 1] < 0)
+        signs = mesh.edge_signs(m, slice(None))
         # all boundary edge signs are +1 for their single triangle
         for e in b:
             t = m.edge_tris[e, 0]
             j = list(m.tri_edges[t]).index(e)
-            assert m.tri_edge_signs[t, j] == 1.0
+            assert signs[t, j] == 1.0
 
 
 def test_dump_format(mesh_cache):
@@ -413,15 +415,22 @@ def build(domain, k):
 
 
 def mesh_digest(m):
-    """Field name -> "dtype shape sha256" for arrays, repr for scalars."""
-    out = {}
+    """Field name -> "dtype shape sha256" for arrays, repr for scalars.  The
+    basis gradients and edge signs, which the mesh no longer holds, are hashed
+    whole under the names of the fields that once held them, in their places."""
+    values = {}
     for f in dataclasses.fields(m):
-        value = getattr(m, f.name)
+        values[f.name] = getattr(m, f.name)
+        if f.name == "areas":
+            values["grads"] = mesh.basis_gradients(m, slice(None))
+    values["tri_edge_signs"] = mesh.edge_signs(m, slice(None))
+    out = {}
+    for name, value in values.items():
         if isinstance(value, np.ndarray):
             sha = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
-            out[f.name] = f"{value.dtype} {value.shape} {sha}"
+            out[name] = f"{value.dtype} {value.shape} {sha}"
         else:
-            out[f.name] = repr(value)
+            out[name] = repr(value)
     return out
 
 

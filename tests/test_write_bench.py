@@ -1,8 +1,10 @@
 """tools/write_bench.py: its benchmark run helper, its pair arithmetic, its
 child launcher and its code-line count."""
 
+import contextlib
 import importlib.util
 import json
+import re
 import subprocess
 from pathlib import Path
 
@@ -82,6 +84,27 @@ def test_pairs_give_medians_quartiles_and_wins(write_bench):
     }
     assert record["items_per_s"]["wins"] == 3
     assert record["items_per_s"]["change"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+
+
+def test_pairs_report_progress_on_stderr_only(write_bench, monkeypatch, capsys, tmp_path):
+    @contextlib.contextmanager
+    def worktree(rev):
+        yield tmp_path
+
+    written = []
+    result = _runs(wall_s=[1.0])[0]
+    monkeypatch.setattr(write_bench, "_worktree", worktree)
+    monkeypatch.setattr(write_bench, "_bench", lambda workload, tree: (result, {}))
+    monkeypatch.setattr(write_bench, "_stdout", lambda *argv, **where: "0123abc\n")
+    monkeypatch.setattr(write_bench, "_write", lambda tree, *args, **extra: written.append(tree))
+    write_bench._against("HEAD~1")
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == write_bench.PAIRS
+    for i, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"pair {i} of {write_bench.PAIRS} done, \d+ s", line)
+    assert written == [tmp_path, write_bench.ROOT]
 
 
 def test_quartiles_interpolate_between_runs(write_bench):

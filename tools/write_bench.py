@@ -20,7 +20,8 @@ written, REV's first; each file's ``results`` holds the median of each
 metric over its ten runs.  The change's file also holds the ``pairs`` record:
 for each workload and metric the median and the quartiles on each tree, and
 ``wins``, the pairs in which this checkout did better (by the ``better`` of
-``BENCHMARK.json``).
+``BENCHMARK.json``).  After each pair the tool prints one progress line to
+stderr, ``pair I of 10 done, S s``; stdout holds only the paths written.
 
 The ``oracle_cfa`` run's ``count oracle.outer_iters.delta*`` lines give the
 LOBPCG step count of each anisotropy (``oracle_cfa_steps``).  The rest is
@@ -387,10 +388,13 @@ def _against(rev):
     with _worktree(rev) as parent:
         trees = (parent, ROOT)
         runs = {tree: {w: [] for w in WORKLOADS} for tree in trees}
+        start = time.perf_counter()
         for i in range(PAIRS):
             for workload in WORKLOADS:
                 for tree in trees if i % 2 == 0 else trees[::-1]:
                     runs[tree][workload].append(_bench(workload, tree))
+            elapsed = time.perf_counter() - start
+            print(f"pair {i + 1} of {PAIRS} done, {elapsed:.0f} s", file=sys.stderr, flush=True)
         results = {
             tree: {w: _medians([result for result, _ in runs[tree][w]]) for w in WORKLOADS}
             for tree in trees
