@@ -23,9 +23,7 @@ from .maxwell import (
     maxwell_bound,
     maxwell_coarse,
     maxwell_diagonal,
-    maxwell_from_parts,
     maxwell_full,
-    poincare_convex_bound,
 )
 from .weights import (
     DiagonalWeight,

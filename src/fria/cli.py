@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import friedrichs, maxwell
@@ -35,19 +36,27 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a private argparse attribute: its own pattern takes only the -1 and
+        # -1.5 shapes as negative numbers and reads "-1e-3" or "-1,1" as an
+        # option; any argument that starts like a negative number is a value
+        # (subparsers are built with type(self), so they inherit this)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _parse_lengths(text):
     try:  # a bad number and a bad box (WeightError) are both ValueErrors
-        return DInterval(tuple(float(v) for v in text.split(",") if v != ""))
+        return DInterval(tuple(float(v) for v in text.split(",")))
     except ValueError as exc:
         raise UsageError(f"--lengths: {exc}") from None
 
 
 def _parse_levels(text):
-    from .mesh import MAX_LEVEL
+    from .mesh import triangle_count
 
     lo, sep, hi = text.partition(":")
     try:
@@ -56,8 +65,8 @@ def _parse_levels(text):
         raise UsageError(f"--levels must be N or LO:HI, got {text!r}") from None
     if lo > hi:
         raise UsageError(f"--levels range {text!r} is empty")
-    if lo < 0 or hi > MAX_LEVEL:
-        raise UsageError(f"--levels must lie in 0..{MAX_LEVEL}, got {text!r}")
+    for level in (lo, hi):  # the builders' level rule
+        triangle_count("lshape", level)
     return list(range(lo, hi + 1))
 
 
@@ -180,13 +189,12 @@ def _cmd_experiment(args):
         raise UsageError("--alpha must be 2-dimensional for the experiment")
     if alpha.eigenvalues[0] <= 0.0:
         raise UsageError("--alpha must be positive definite for the experiment")
-    text = args.constants
-    if text is None:  # the default: the constants of the paper's Table 2
-        text = ",".join(str(c) for c in majorant.TABLE2_CONSTANTS)
-    try:
-        constants = [float(c) for c in text.split(",") if c != ""]
-    except ValueError:
-        constants = []  # reported by the check below
+    constants = list(majorant.TABLE2_CONSTANTS)  # the default: the paper's Table 2
+    if args.constants is not None:
+        try:
+            constants = [float(c) for c in args.constants.split(",")]
+        except ValueError:
+            constants = []  # reported by the check below
     if not constants or not all(0.0 < c < math.inf for c in constants):
         raise UsageError("--constants needs a comma-separated list of finite positive reals")
     if not math.isfinite(args.f):

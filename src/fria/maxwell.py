@@ -58,25 +58,15 @@ class MaxwellInput:
         }
 
 
-def poincare_convex_bound(diam):
-    """Poincare constant bound diam/pi for convex domains."""
-    diam = float(diam)
-    if not (math.isfinite(diam) and diam > 0.0):
-        raise WeightError(f"diameter must be positive, got {diam}")
-    return diam / math.pi
-
-
-def maxwell_from_parts(c_feps, eps_max, c_p):
-    """Maxwell bound max(c_feps, sqrt(eps_max) * c_p) from its two arms."""
-    if not all(0.0 < x < math.inf for x in (c_feps, eps_max, c_p)):
-        raise ValueError("all inputs must be finite and positive")
-    return max(c_feps, math.sqrt(eps_max) * c_p)
-
-
 def maxwell_bound(inp, formula):
-    """Maxwell bound with any Friedrichs formula ``formula(box, w)`` as its first arm."""
+    """Maxwell bound max(c_F, sqrt(eps_max) * diam / pi): any Friedrichs
+    formula ``formula(box, w)`` as its first arm, Payne and Weinberger's
+    Poincare bound diam / pi for convex domains in its second."""
     arm = formula(inp.box, inp.eps)
-    value = maxwell_from_parts(arm.value, inp.eps_max, poincare_convex_bound(inp.diam))
+    # a formula that ignores the weight (mikhlin) lets a nonpositive one through
+    if inp.eps_max <= 0.0:
+        raise ValueError(f"eps_max must be positive, got {inp.eps_max}")
+    value = max(arm.value, math.sqrt(inp.eps_max) * (inp.diam / math.pi))
     return BoundReport(value, arm.method, inp.digest(), seminorm=arm.seminorm)
 
 

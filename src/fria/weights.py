@@ -186,11 +186,9 @@ def parse_weight(text):
             f"weight {text!r} must look like 'diag:...' or 'full:...'"
         )
     try:
-        values = [float(v) for v in body.split(",") if v != ""]
+        values = [float(v) for v in body.split(",")]
     except ValueError as exc:
         raise WeightError(f"weight {text!r}: {exc}") from None
-    if not values:
-        raise WeightError(f"weight {text!r} has no entries")
     if head == "diag":
         if any(v < 0.0 for v in values):
             raise WeightError("diagonal weight entries must be nonnegative")

@@ -159,6 +159,7 @@ class TestErrors:
             ["experiment", "table2", "--levels", "0", "--solutions", "/etc/passwd"],
             ["experiment", "table2", "--levels", "0:9"],
             ["experiment", "table2", "--levels", "-1"],
+            ["experiment", "table2", "--levels=-1:2"],
         ],
     )
     def test_bad_path_or_level_exits_before_any_work(self, capsys, monkeypatch, argv):
@@ -169,6 +170,35 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("fria: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_level_out_of_range_prints_the_builders_line(self, capsys, monkeypatch):
+        from fria import majorant
+
+        monkeypatch.setattr(majorant, "build_lshape", None)  # no mesh may be built
+        code, out, err = run(capsys, "experiment", "table2", "--levels", "9")
+        assert code == 1 and out == ""
+        assert err == "fria: level must lie in 0..8, got 9\n"
+        assert run(capsys, "oracle", "cfa", "--domain", "lshape", "--level", "9")[2] == err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "maxwell", "--lengths", "1,1,1", "--eps-max", "-1e-3"], "eps_max -0.001 is below"),
+            (["bounds", "maxwell", "--lengths", "1,1,1", "--diam", "-1e-3"], "diameter must be positive"),
+            (["bounds", "friedrichs", "--lengths", "-1,1"], "--lengths: box side"),
+            (["bounds", "friedrichs", "--lengths", "-.5,1"], "--lengths: box side"),
+        ],
+    )
+    def test_negative_value_is_read_as_a_number(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("fria: " + message) and err.count("\n") == 1
+
+    def test_negative_load_in_exponent_form(self, capsys):
+        argv = ["experiment", "table2", "--levels", "0:1", "--f"]
+        code, out, err = run(capsys, *argv, "-1e-3")
+        assert code == 0 and err == ""
+        assert run(capsys, *argv, "-0.001") == (0, out, "")
 
     def test_failed_command_keeps_existing_output(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -219,6 +249,12 @@ class TestErrors:
             ["experiment", "table2", "--levels", "0", "--constants", "a,1"],
             ["experiment", "table2", "--levels", "0", "--f", "nan"],
             ["experiment", "table2", "--levels", "0", "--f", "inf"],
+            # a comma list takes no empty field
+            ["bounds", "friedrichs", "--lengths", "1,,1"],
+            ["bounds", "friedrichs", "--lengths", "1,1,"],
+            ["bounds", "friedrichs", "--lengths", "1,1", "--weight", "diag:1,,1e-4"],
+            ["experiment", "table2", "--levels", "0", "--constants", "22.50791,,0.31829"],
+            ["experiment", "table2", "--levels", "0", "--constants", ""],
         ],
     )
     def test_bad_number_is_usage_error(self, capsys, monkeypatch, argv):

@@ -5,63 +5,67 @@ import numpy as np
 import pytest
 
 from fria.cli import main
-from fria.friedrichs import BoundUnavailable, best_bound, diagonal_bound
+from fria.friedrichs import (
+    FORMULAS,
+    BoundUnavailable,
+    best_bound,
+    coarse_bound,
+    diagonal_bound,
+    sharp_bound,
+)
 from fria.maxwell import (
     MaxwellInput,
     maxwell_bound,
     maxwell_coarse,
     maxwell_diagonal,
-    maxwell_from_parts,
     maxwell_full,
-    poincare_convex_bound,
     table3_rows,
 )
-from fria.weights import DiagonalWeight, DInterval, FullWeight, WeightError
+from fria.weights import DiagonalWeight, DInterval, FullWeight, WeightError, parse_weight
 
 UNIT_CUBE = DInterval((1.0, 1.0, 1.0))
 SQRT3 = math.sqrt(3.0)
 CALPHA2 = FullWeight(((3.0, 1.0, 1.0), (1.0, 300.0, 1.0), (1.0, 1.0, 3.0)))
 
 
-class TestPoincare:
+class TestPoincareArm:
+    """The second arm sqrt(eps_max) * diam / pi, seen where it wins."""
+
     def test_unit_cube_diameter(self):
-        assert round(poincare_convex_bound(SQRT3), 5) == 0.55133
+        inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)))
+        assert round(maxwell_bound(inp, FORMULAS["mikhlin"]).value, 5) == 0.55133
 
     def test_pi(self):
-        assert poincare_convex_bound(math.pi) == pytest.approx(1.0, rel=1e-15)
+        box = DInterval((math.pi, 1.0, 1.0))
+        inp = MaxwellInput(box, DiagonalWeight((1.0, 1.0, 1.0)), diam=math.pi)
+        assert maxwell_bound(inp, FORMULAS["mikhlin"]).value == pytest.approx(1.0, rel=1e-15)
 
-    def test_unit_square_diagonal(self):
-        assert poincare_convex_bound(math.sqrt(2.0)) == pytest.approx(
-            math.sqrt(2.0) / math.pi, rel=1e-15
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(WeightError):
-            poincare_convex_bound(0.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_input_rejects_bad_diameter(self, bad):
+        with pytest.raises(WeightError, match="diameter"):
+            MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)), diam=bad)
 
 
-class TestFromParts:
+class TestComposition:
     def test_poincare_arm_wins(self):
-        assert maxwell_from_parts(0.2, 1.0, 0.5) == 0.5
+        inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)))
+        assert maxwell_bound(inp, coarse_bound).value == SQRT3 / math.pi
 
     def test_friedrichs_arm_wins(self):
-        assert maxwell_from_parts(0.9, 4.0, 0.3) == 0.9
+        inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1e-6)))
+        rep = maxwell_bound(inp, coarse_bound)
+        assert rep.value == coarse_bound(UNIT_CUBE, inp.eps).value > SQRT3 / math.pi
 
     def test_isotropic_cube(self):
-        c_f = 1.0 / (math.pi * SQRT3)
-        assert maxwell_from_parts(c_f, 1.0, SQRT3 / math.pi) == pytest.approx(
-            SQRT3 / math.pi, rel=1e-15
-        )
+        inp = MaxwellInput(UNIT_CUBE, DiagonalWeight((1.0, 1.0, 1.0)))
+        assert maxwell_bound(inp, sharp_bound).value == pytest.approx(SQRT3 / math.pi, rel=1e-15)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            maxwell_from_parts(0.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite(self, bad):
-        for parts in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
-            with pytest.raises(ValueError, match="finite"):
-                maxwell_from_parts(*parts)
+    @pytest.mark.parametrize("eps", ["diag:0,0,0", "full:-1,0,0,-1,0,-2"])
+    def test_nonpositive_eps_max_is_refused_past_a_weightless_arm(self, eps):
+        # mikhlin ignores the weight, so only the composition sees eps_max <= 0
+        inp = MaxwellInput(UNIT_CUBE, parse_weight(eps))
+        with pytest.raises(ValueError, match="eps_max"):
+            maxwell_bound(inp, FORMULAS["mikhlin"])
 
 
 class TestMaxwellInput:
@@ -140,10 +144,8 @@ class TestDiagonal:
             eps = DiagonalWeight(tuple(rng.uniform(1e-3, 1e3, size=3)))
             box = DInterval(tuple(rng.uniform(0.3, 3.0, size=3)))
             inp = MaxwellInput(box, eps)
-            expected = maxwell_from_parts(
-                diagonal_bound(box, eps).value,
-                inp.eps_max,
-                poincare_convex_bound(inp.diam),
+            expected = max(
+                diagonal_bound(box, eps).value, math.sqrt(inp.eps_max) * (inp.diam / math.pi)
             )
             assert maxwell_diagonal(inp).value == expected
 

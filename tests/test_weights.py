@@ -231,7 +231,10 @@ class TestParseWeight:
 
     @pytest.mark.parametrize(
         "bad",
-        ["diag:", "full:1,2", "full:1,2,3,4", "diag:1,-2", "spam:1", "diag:a,b", "1,2"],
+        [
+            "diag:", "full:1,2", "full:1,2,3,4", "diag:1,-2", "spam:1", "diag:a,b", "1,2",
+            "diag:1,,2", "diag:1,2,", "full:1,,2",
+        ],
     )
     def test_rejected(self, bad):
         with pytest.raises(WeightError):

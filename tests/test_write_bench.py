@@ -168,3 +168,13 @@ def test_code_lines_skip_blanks_comments_and_docstrings(write_bench, tmp_path):
     path.write_text(SOURCE)
     # import, class, side, def, the bare string, return
     assert write_bench._code_lines(path) == 6
+
+
+def test_code_lines_by_module_count_each_package_file(write_bench, tmp_path):
+    package = tmp_path / "src" / "fria"
+    package.mkdir(parents=True)
+    (package / "box.py").write_text(SOURCE)
+    (package / "__init__.py").write_text('"""Package."""\n\nfrom .box import Box  # re-export\n')
+    (package / "notes.txt").write_text("not python\n")
+    (tmp_path / "src" / "other.py").write_text("x = 1\n")  # outside the package
+    assert write_bench._code_lines_by_module(tmp_path) == {"__init__": 1, "box": 6}

@@ -68,8 +68,9 @@ also records the Python, numpy and scipy versions, the CPUs the process may
 use, the commit, whether tracked files differ from it, ``src_lines``, the
 total line count of ``src/fria/*.py``, and ``src_code_lines``, the lines of
 those files that are not blank, not ``#`` comments and not inside a module,
-class or function docstring; ``bench_code_lines`` counts ``perfbench/*.py``
-and ``tools/*.py`` the same way.
+class or function docstring (the sum of ``src_code_lines_by_module``, the
+count of each file keyed by its stem); ``bench_code_lines`` counts
+``perfbench/*.py`` and ``tools/*.py`` the same way.
 """
 
 import argparse
@@ -308,6 +309,11 @@ def _code_lines(path):
     )
 
 
+def _code_lines_by_module(tree):
+    """``_code_lines`` of each ``src/fria/*.py`` of ``tree``, keyed by stem."""
+    return {p.stem: _code_lines(p) for p in sorted(tree.glob("src/fria/*.py"))}
+
+
 def _python_run(*args, tree=ROOT, runs=1):
     """Wall time, peak RSS and CPU seconds of the fastest of ``runs`` child
     runs of ``python args`` in ``tree``."""
@@ -342,6 +348,7 @@ def _write(tree, results, counts, **extra):
     """Measure ``tree`` and write its BENCH file at the root of this checkout."""
     sha = _stdout("git", "rev-parse", "HEAD", cwd=tree).strip()
     cli_runs = _cli_runs(tree)
+    code_lines = _code_lines_by_module(tree)
     in_process = (sys.executable, "-c", IN_PROCESS, __file__)
     measured = json.loads(_stdout(*in_process, cwd=tree, env=_tree_env(tree)))
     if not Path(measured.pop("fria")).is_relative_to(tree / "src"):
@@ -359,7 +366,8 @@ def _write(tree, results, counts, **extra):
         },
         "cli_runs": cli_runs,
         "src_lines": sum(len(p.read_text().splitlines()) for p in tree.glob("src/fria/*.py")),
-        "src_code_lines": sum(_code_lines(p) for p in tree.glob("src/fria/*.py")),
+        "src_code_lines": sum(code_lines.values()),
+        "src_code_lines_by_module": code_lines,
         "bench_code_lines": sum(
             _code_lines(p) for d in ("perfbench", "tools") for p in tree.glob(f"{d}/*.py")
         ),
