@@ -8,7 +8,8 @@ per-vertex and per-edge sums into the interior CSR pattern that scipy's COO
 to CSR conversion sorts (``_pattern``), which no weight enters.  The sums
 run over blocks of ``mesh.BLOCK_ROWS`` triangles, each block's basis
 gradients formed there (``mesh.basis_gradients``), so no per-triangle entry
-array spans the mesh, and a solution's gradients are formed the same way;
+array spans the mesh, the CSR values are gathered from the sums in blocks
+too, and a solution's gradients are formed the same way;
 ``Dirichlet.stiffness`` assembles the stiffness on it with its
 line-relaxation preconditioner.  The solver is conjugate gradients; its
 results repeat bit for bit at a fixed BLAS thread count, as numpy's dot
@@ -144,12 +145,17 @@ def _sums(mesh, entries):
 def _scatter(sums, pattern):
     """The CSR matrix on ``pattern`` of ``_sums``: each interior vertex's sum
     once on the diagonal, each interior edge's twice, mirrored.  The reduced
-    stiffness and mass of ``Dirichlet`` both come from here."""
+    stiffness and mass of ``Dirichlet`` both come from here.  The values are
+    gathered per block of ``mesh.BLOCK_ROWS`` entries: a whole-pattern
+    ``np.take`` first casts the int32 ``gather`` to intp, a copy twice its size."""
     import scipy.sparse as sp  # here, not at the top: the closed-form bounds never need it
 
     indptr, indices, gather = pattern
     n = len(indptr) - 1
-    return sp.csr_matrix((np.take(sums, gather), indices, indptr), shape=(n, n))
+    data = np.empty(len(gather))
+    for rows in row_blocks(len(data)):
+        np.take(sums, gather[rows], out=data[rows])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def lumped_load(mesh, nodal_f):

@@ -10,16 +10,17 @@ norms run over blocks of ``mesh.BLOCK_ROWS`` rows (``mesh.row_blocks``)
 written into one full per-row array, so their temporaries are bounded by
 the block, not by the mesh; a norm is one ``np.sum`` of its full density
 array, which gives the bits of the whole-mesh formulas.  The outward signs
-of a block's edges are formed with it (``mesh.edge_signs``); the mesh holds
-none.  ``rt_divergence``, which the certification path does not call, is one
-whole-mesh call.
+of a block's edges, and the lengths and normals of a block of edges, are
+formed with it (``mesh.edge_signs``, ``mesh.edge_geometry``); the mesh holds
+none of them.  ``rt_divergence``, which the certification path does not
+call, is one whole-mesh call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import edge_signs, row_blocks
+from .mesh import edge_geometry, edge_signs, row_blocks
 
 
 @dataclass
@@ -43,10 +44,11 @@ def rt_average(solution, alpha):
     for rows in row_blocks(len(dofs)):
         adj = mesh.edge_tris[rows]
         # a boundary edge's missing neighbour -1 gathers the last row, which np.where drops
-        q, n = np.take(flux, adj, axis=0), mesh.edge_normals[rows]
-        qn = q[:, :, 0] * n[:, 0, None] + q[:, :, 1] * n[:, 1, None]
-        mean = np.where(adj[:, 1] >= 0, 0.5 * (qn[:, 0] + qn[:, 1]), qn[:, 0])
-        dofs[rows] = mesh.edge_lengths[rows] * mean
+        q, (lengths, n) = np.take(flux, adj, axis=0), edge_geometry(mesh, rows)
+        # one neighbour at a time: a product of (e, 2) parts of q loops over rows of two
+        q0, q1 = (q[:, k, 0] * n[:, 0] + q[:, k, 1] * n[:, 1] for k in (0, 1))
+        mean = np.where(adj[:, 1] >= 0, 0.5 * (q0 + q1), q0)
+        dofs[rows] = lengths * mean
     return RT0Field(mesh, dofs)
 
 

@@ -6,11 +6,12 @@ interpolation with the standard lumped weights, and the majorant by its
 cell moments.  Those moments and the energy error against the exact
 solution evaluate in closed form: by the divergence theorem each
 integral over a triangle is a sum of elementary trigonometric edge terms.
-The edge terms are formed over blocks of ``mesh.BLOCK_ROWS`` edges, then
-summed per triangle, with the signs of ``mesh.edge_signs``, over blocks of
-triangles, so no temporary grows with the mesh beyond the per-edge terms
-and the per-triangle results.  The
-closed forms hold on the unit square only; each refuses any other mesh.
+The edge terms are formed over blocks of ``mesh.BLOCK_ROWS`` edges, with
+the lengths and normals of ``mesh.edge_geometry``, then summed per triangle,
+with the signs of ``mesh.edge_signs``, over blocks of triangles, so no
+temporary grows with the mesh beyond the per-edge terms and the
+per-triangle results.  The closed forms hold on the unit square only; each
+refuses any other mesh.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from .fem import solve_diffusion
 from .majorant import evaluate_majorant
-from .mesh import edge_signs, row_blocks
+from .mesh import edge_geometry, edge_signs, row_blocks
 from .weights import DiagonalWeight
 
 IDENTITY2 = DiagonalWeight((1.0, 1.0))
@@ -55,9 +56,13 @@ def _edge_means(mesh, rows, waves, trig):
     value at the midpoint times sinc of half the increment.
     """
     ends = np.take(mesh.vertices, mesh.edges[rows], axis=0)
-    mid = (0.5 * (ends[:, 0] + ends[:, 1])) @ waves
-    step = (ends[:, 1] - ends[:, 0]) @ waves
-    return trig(np.pi * mid) * np.sinc(0.5 * step)
+    # one coordinate at a time: a sum of the (e, 2) halves of ends loops over rows of two
+    mid, step = np.empty((2, len(ends), 2))
+    for k in (0, 1):
+        np.add(ends[:, 0, k], ends[:, 1, k], out=mid[:, k])
+        np.subtract(ends[:, 1, k], ends[:, 0, k], out=step[:, k])
+    mid *= 0.5
+    return trig(np.pi * (mid @ waves)) * np.sinc(0.5 * (step @ waves))
 
 
 def _cell_sums(mesh, per_edge, rows):
@@ -81,8 +86,9 @@ def grad_u_integrals(mesh):
     flux = np.empty((mesh.num_edges, 2))
     for rows in row_blocks(mesh.num_edges):
         cosines = _edge_means(mesh, rows, waves, np.cos)
-        along = 0.5 * mesh.edge_lengths[rows] * (cosines[:, 0] - cosines[:, 1])
-        flux[rows] = along[:, None] * mesh.edge_normals[rows]
+        lengths, normals = edge_geometry(mesh, rows)
+        along = 0.5 * lengths * (cosines[:, 0] - cosines[:, 1])
+        flux[rows] = along[:, None] * normals
     integrals = np.empty((mesh.num_triangles, 2))
     for rows in row_blocks(mesh.num_triangles):
         integrals[rows] = _cell_sums(mesh, flux, rows)
@@ -105,8 +111,9 @@ def source_moments(mesh):
     scale = np.pi * np.sum(waves * waves, axis=0)
     per_edge = np.empty((mesh.num_edges, waves.shape[1]))
     for rows in row_blocks(mesh.num_edges):
-        along = mesh.edge_lengths[rows, None] * _edge_means(mesh, rows, waves, np.sin)
-        per_edge[rows] = along * (mesh.edge_normals[rows] @ waves) / scale
+        lengths, normals = edge_geometry(mesh, rows)
+        along = lengths[:, None] * _edge_means(mesh, rows, waves, np.sin)
+        per_edge[rows] = along * (normals @ waves) / scale
     mean, osc = np.empty(mesh.num_triangles), np.empty(mesh.num_triangles)
     for rows in row_blocks(mesh.num_triangles):
         cosines = _cell_sums(mesh, per_edge, rows)

@@ -6,9 +6,10 @@ corner, giving counterclockwise triangles.  The L-shape is the unit square
 with the closed lower-right quadrant removed; level ``L`` uses
 ``n = 16 * 2**L`` and therefore ``384 * 4**L`` triangles.
 
-Edge orientation convention: the stored unit normal of an interior edge
-points from the adjacent triangle with the lower index into the one with
-the higher index; boundary normals point out of the domain.  This fixes
+Edge orientation convention: the unit normal of an interior edge
+(``edge_geometry``) points from the adjacent triangle with the lower index
+into the one with the higher index; boundary normals point out of the
+domain.  This fixes
 all signs of the lowest-order Raviart-Thomas degrees of freedom.
 """
 
@@ -53,12 +54,14 @@ class TriMesh:
     n : grid resolution (cells per unit length)
     level : refinement index (equals n for square meshes)
 
-    Derived arrays (filled by the builder): per-triangle areas, per-edge
-    lengths/normals, and the int32 triangle-to-edge incidence ``tri_edges``
-    ordered so that edge ``j`` is opposite local vertex ``j``.  The P1 basis
-    gradients and the edge signs follow from these tables; their readers form
-    them per block of rows (``basis_gradients``, ``edge_signs``), so the mesh
-    holds neither.
+    Derived arrays (filled by the builder): per-triangle areas, the bool
+    ``edge_flips``, true where an edge's normal is its lo -> hi edge turned a
+    quarter counterclockwise (else clockwise), and the int32
+    triangle-to-edge incidence ``tri_edges`` ordered so that edge ``j`` is
+    opposite local vertex ``j``.  The P1 basis gradients, the edge signs and
+    the edge lengths and normals follow from these tables; their readers form
+    them per block of rows (``basis_gradients``, ``edge_signs``,
+    ``edge_geometry``), so the mesh holds none of them.
     """
 
     vertices: np.ndarray
@@ -70,8 +73,7 @@ class TriMesh:
     n: int
     level: int
     areas: np.ndarray
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray
+    edge_flips: np.ndarray
     tri_edges: np.ndarray
 
     @property
@@ -135,9 +137,10 @@ def _edge_codes(triangles, nv):
 
 
 def _finalize(vertices, triangles, domain, n, level):
-    """Edges, adjacency and geometry of any counterclockwise triangle list, whose
-    order alone fixes the stored normals.  The geometry uses two (t, 3) arrays of
-    corner x and y: (t, 3, 2) corner rows and their strided parts take twice the time."""
+    """Edges, adjacency and areas of any counterclockwise triangle list, whose
+    order alone fixes the edge normals (``edge_flips``).  The areas use two (t, 3)
+    arrays of corner x and y: (t, 3, 2) corner rows and their strided parts take
+    twice the time."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int32)
     nv = len(vertices)
@@ -181,15 +184,6 @@ def _finalize(vertices, triangles, domain, n, level):
     areas *= 0.5
     del x, y
 
-    tx, ty = (np.take(v, edges[:, 1]) - np.take(v, edges[:, 0]) for v in (vx, vy))
-    edge_lengths = np.hypot(tx, ty)
-    # a / -b == -(a / b) exactly, so each flipped normal takes its sign from the divisor
-    signed = np.where(flip, -edge_lengths, edge_lengths)
-    normals = np.empty((len(edges), 2))
-    np.divide(ty, signed, out=normals[:, 0])
-    np.divide(np.negative(tx, out=tx), signed, out=normals[:, 1])
-    del tx, ty, signed  # kept until the mesh is assembled, they raised later peak RSS
-
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True
 
@@ -203,8 +197,7 @@ def _finalize(vertices, triangles, domain, n, level):
         n=n,
         level=level,
         areas=areas,
-        edge_lengths=edge_lengths,
-        edge_normals=normals,
+        edge_flips=flip,
         tri_edges=inverse.reshape(nt, 3),
     )
 
@@ -234,6 +227,24 @@ def edge_signs(mesh, rows):
     second = np.take(mesh.edge_tris, mesh.tri_edges[rows], axis=0)[:, :, 1]
     own = np.arange(*rows.indices(mesh.num_triangles), dtype=np.int32)
     return np.where(second == own[:, None], -1.0, 1.0)
+
+
+def edge_geometry(mesh, rows):
+    """``(lengths, normals)`` of the edges ``rows`` (a slice): the (e,) float64
+    lengths and the (e, 2) unit normals, each the lo -> hi edge turned a
+    quarter clockwise, or counterclockwise where ``edge_flips``, so that it
+    points out of the edge's lower triangle.  ``a / -b == -(a / b)`` exactly,
+    so a flipped normal takes its sign from the divisor, and the bits do not
+    depend on how the edges are split into blocks."""
+    # whole vertex rows: np.take of a strided column copies the column on every call
+    ends = np.take(mesh.vertices, mesh.edges[rows], axis=0)
+    tx, ty = (np.subtract(ends[:, 1, k], ends[:, 0, k]) for k in (0, 1))
+    lengths = np.hypot(tx, ty)
+    signed = np.where(mesh.edge_flips[rows], -lengths, lengths)
+    normals = np.empty((len(lengths), 2))
+    np.divide(ty, signed, out=normals[:, 0])
+    np.divide(np.negative(tx, out=tx), signed, out=normals[:, 1])
+    return lengths, normals
 
 
 def _build_grid(n, keep):

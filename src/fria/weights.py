@@ -30,9 +30,11 @@ class DInterval:
         if not 1 <= len(lengths) <= 3:
             raise WeightError(f"box dimension must be 1, 2 or 3, got {len(lengths)}")
         for l in lengths:
+            if not l > 0.0:
+                raise WeightError(f"box side lengths must be positive, got {l}")
             # every bound formula divides by l^2
-            if not (l > 0.0 and 0.0 < l * l < math.inf):
-                raise WeightError(f"box side lengths need a finite positive square, got {l}")
+            if not 0.0 < l * l < math.inf:
+                raise WeightError(f"box side length {l} squares to {l * l}, out of the float range")
 
     @property
     def d(self):

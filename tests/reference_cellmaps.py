@@ -11,7 +11,7 @@ the full per-row array, so the results agree in every bit.
 import numpy as np
 
 from fria.flux import RT0Field
-from fria.mesh import edge_signs
+from fria.mesh import edge_geometry, edge_signs
 
 SOURCE_WAVES = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 0.0], [-1.0, 1.0, -2.0, 2.0, 0.0, 2.0]])
 
@@ -27,8 +27,9 @@ def edge_means(mesh, waves, trig):
 def grad_u_integrals(mesh):
     """int_T grad u dA of u = sin(pi x) sin(pi y) on every triangle."""
     cosines = edge_means(mesh, np.array([[1.0, 1.0], [-1.0, 1.0]]), np.cos)
-    along = 0.5 * mesh.edge_lengths * (cosines[:, 0] - cosines[:, 1])
-    flux = along[:, None] * mesh.edge_normals
+    lengths, normals = edge_geometry(mesh, slice(None))
+    along = 0.5 * lengths * (cosines[:, 0] - cosines[:, 1])
+    flux = along[:, None] * normals
     signs = edge_signs(mesh, slice(None))
     return np.einsum("te,tex->tx", signs, np.take(flux, mesh.tri_edges, axis=0))
 
@@ -36,8 +37,9 @@ def grad_u_integrals(mesh):
 def source_moments(mesh):
     """Cell mean of f = 2 pi^2 u and its oscillation on every triangle."""
     waves = SOURCE_WAVES
-    along = mesh.edge_lengths[:, None] * edge_means(mesh, waves, np.sin)
-    per_edge = along * (mesh.edge_normals @ waves) / (np.pi * np.sum(waves * waves, axis=0))
+    lengths, normals = edge_geometry(mesh, slice(None))
+    along = lengths[:, None] * edge_means(mesh, waves, np.sin)
+    per_edge = along * (normals @ waves) / (np.pi * np.sum(waves * waves, axis=0))
     signs = edge_signs(mesh, slice(None))
     cosines = np.einsum("te,tek->tk", signs, np.take(per_edge, mesh.tri_edges, axis=0))
     integral = np.pi**2 * (cosines[:, 0] - cosines[:, 1])
@@ -54,10 +56,11 @@ def rt_average(solution, alpha):
     a = np.asarray(alpha.matrix, dtype=float)
     flux = solution.gradients @ a.T
     adj = mesh.edge_tris
-    qn = np.einsum("ekx,ex->ek", np.take(flux, adj, axis=0), mesh.edge_normals)
+    lengths, normals = edge_geometry(mesh, slice(None))
+    qn = np.einsum("ekx,ex->ek", np.take(flux, adj, axis=0), normals)
     interior = adj[:, 1] >= 0
     mean = np.where(interior, 0.5 * (qn[:, 0] + qn[:, 1]), qn[:, 0])
-    return RT0Field(mesh, mesh.edge_lengths * mean)
+    return RT0Field(mesh, lengths * mean)
 
 
 def rt_divergence(field):

@@ -74,22 +74,26 @@ def test_any_block_size_keeps_the_bits(monkeypatch, mesh_cache, rows):
 
 
 @pytest.mark.parametrize(
-    "size, rows", [(("square", 100), None), (("lshape", 2), None), (("square", 9), 7)],
-    ids=["square100", "L2", "square9-rows7"],
+    "size, rows", [(("square", 100), None), (("lshape", 2), None), (("square", 12), 7)],
+    ids=["square100", "L2", "square12-rows7"],
 )
 def test_per_block_mesh_tables_and_sums_keep_the_whole_mesh_bits(
     monkeypatch, mesh_cache, size, rows
 ):
-    # triangle counts that no block size divides: 20000 and 6144 rows in
-    # blocks of 4096, and 162 in blocks of 7, whose last block is one row
+    # triangle and edge counts that no block size divides: 20000 triangles and
+    # 30200 edges, and 6144 and 9344, in blocks of 4096; 288 and 456 in blocks
+    # of 7, whose last blocks are one row
     if rows is not None:
         monkeypatch.setattr(mesh, "BLOCK_ROWS", rows)
     m = mesh_cache(*size)
-    assert m.num_triangles % mesh.BLOCK_ROWS
+    assert m.num_triangles % mesh.BLOCK_ROWS and m.num_edges % mesh.BLOCK_ROWS
     whole, blocks = slice(None), mesh.row_blocks(m.num_triangles)
     for table in (mesh.basis_gradients, mesh.edge_signs):
         per_block = np.concatenate([table(m, block) for block in blocks])
         assert per_block.tobytes() == table(m, whole).tobytes()
+    edge_blocks = [mesh.edge_geometry(m, block) for block in mesh.row_blocks(m.num_edges)]
+    for per_block, want in zip(zip(*edge_blocks), mesh.edge_geometry(m, whole)):
+        assert np.concatenate(per_block).tobytes() == want.tobytes()
     values = np.random.default_rng(9).standard_normal(m.num_vertices)
     corners = np.take(values, m.triangles)
     want = np.einsum("tj,tjx->tx", corners, mesh.basis_gradients(m, whole))
@@ -143,26 +147,32 @@ class TestMemory:
                 lambda s, field: manufactured.exact_energy_error(s),
             ],
         )
-        # the moments and the majorant peak at 264, the exact error at 187 (the
-        # mesh's own gradients and signs: 337 and 256; whole-mesh temporaries too:
-        # 761 and 424)
-        assert majorant <= 268
-        assert exact <= 190
+        # the moments and the majorant peak at 233, the exact error at 153 (the
+        # mesh's own edge lengths and normals: 264 and 187; its gradients and
+        # signs too: 337 and 256; whole-mesh temporaries too: 761 and 424)
+        assert majorant <= 237
+        assert exact <= 157
 
     def test_lshape_level4(self):
         def build():
             m = mesh.build_lshape(4)
-            return m, fem.solve_diffusion(m, ANISO, 1.0)
+            return m, m
 
         kept = []
-        average, norms = _stage_peaks(
+        solve, average, norms = _stage_peaks(
             build,
             [
-                lambda s: kept.append(flux.rt_average(s, ANISO)),
-                lambda s: flux.flux_defect_norms(kept[0], s, ANISO, 1.0),
+                lambda m: kept.append(fem.solve_diffusion(m, ANISO, 1.0)),
+                lambda m: kept.append(flux.rt_average(kept[0], ANISO)),
+                lambda m: flux.flux_defect_norms(kept[1], kept[0], ANISO, 1.0),
             ],
         )
-        # edge averaging peaks at 154, the norms at 153 (the mesh's own gradients
-        # and signs: 225 and 224; whole-mesh temporaries too: 281 and 317)
-        assert average <= 157
-        assert norms <= 157
+        # the solve peaks at 166, in the line layout and factor and as high as
+        # the build (the mesh's own edge lengths and normals, and the whole
+        # pattern's values gathered at once: 221; its gradients and signs too: 298)
+        assert solve <= 170
+        # edge averaging peaks at 123, the norms at 118 (the mesh's own edge
+        # lengths and normals: 154 and 153; its gradients and signs too: 225 and
+        # 224; whole-mesh temporaries too: 281 and 317)
+        assert average <= 126
+        assert norms <= 121

@@ -148,18 +148,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         nt = m.num_triangles
-        # int32 index tables hold 101 (with the basis gradients and float64
-        # edge signs kept: 173; int64 tables too: 221)
-        assert resident / nt <= 105
-        # the edge sort and the geometry peak at 165 in all, with the grid's
-        # lattice and corner columns freed first (gradients and signs built:
-        # 223; the lattice kept alive too: 251; np.unique's sort with its index,
-        # inverse and counts, and a masked normal flip: 263; int64 tables: 322)
+        # int32 index tables hold 66 (with the edge lengths and normals kept:
+        # 101; the basis gradients and float64 edge signs too: 173; int64
+        # tables too: 221)
+        assert resident / nt <= 68
+        # the edge sort peaks at 165 in all, with the grid's lattice and corner
+        # columns freed first; the edge lengths and normals built here stayed
+        # below it (gradients and signs built: 223; the lattice kept alive too:
+        # 251; np.unique's sort with its index, inverse and counts, and a masked
+        # normal flip: 263; int64 tables: 322)
         assert build_peak / nt <= 168
-        # assembly on the interior pattern peaks at 113, the entries summed per
-        # block of triangles (whole-mesh entries: 118; the Neumann COO and its
-        # two-step slice: 151; the 9-triplet scatter: 308)
-        assert assembly_peak / nt <= 116
+        # assembly on the interior pattern peaks at 92, the entries summed and
+        # the CSR values gathered per block (the values gathered at once: 113;
+        # whole-mesh entries too: 118; the Neumann COO and its two-step slice:
+        # 151; the 9-triplet scatter: 308)
+        assert assembly_peak / nt <= 95
 
 
 class TestUnitSquare:
@@ -252,10 +255,11 @@ class TestStructure:
         m = ORIENTATION_MESHES[name](mesh_cache)
         interior = m.edge_tris[:, 1] >= 0
         assert (m.edge_tris[interior, 0] < m.edge_tris[interior, 1]).all()
-        # stored normals point out of the first adjacent triangle
+        # the normals point out of the first adjacent triangle
         mids = 0.5 * (m.vertices[m.edges[:, 0]] + m.vertices[m.edges[:, 1]])
         centroids = m.vertices[m.triangles].mean(axis=1)
-        dots = np.einsum("ex,ex->e", mids - centroids[m.edge_tris[:, 0]], m.edge_normals)
+        _, normals = mesh.edge_geometry(m, slice(None))
+        dots = np.einsum("ex,ex->e", mids - centroids[m.edge_tris[:, 0]], normals)
         assert (dots > 0.0).all()
         # sign +1 in an edge's lower triangle, -1 in its higher one
         t = np.arange(m.num_triangles)[:, None]
@@ -416,11 +420,16 @@ def build(domain, k):
 
 def mesh_digest(m):
     """Field name -> "dtype shape sha256" for arrays, repr for scalars.  The
-    basis gradients and edge signs, which the mesh no longer holds, are hashed
-    whole under the names of the fields that once held them, in their places."""
+    basis gradients, edge lengths and normals and edge signs, which the mesh
+    no longer holds, are hashed whole under the names of the fields that once
+    held them, in their places; the normals' ``edge_flips`` are hashed through
+    the normals alone."""
     values = {}
     for f in dataclasses.fields(m):
-        values[f.name] = getattr(m, f.name)
+        if f.name == "edge_flips":
+            values["edge_lengths"], values["edge_normals"] = mesh.edge_geometry(m, slice(None))
+        else:
+            values[f.name] = getattr(m, f.name)
         if f.name == "areas":
             values["grads"] = mesh.basis_gradients(m, slice(None))
     values["tri_edge_signs"] = mesh.edge_signs(m, slice(None))

@@ -1,5 +1,5 @@
 """tools/write_bench.py: its benchmark run helper, its pair arithmetic, its
-child launcher and its code-line count."""
+child launcher, its per-stage memory record and its code-line count."""
 
 import contextlib
 import importlib.util
@@ -137,6 +137,20 @@ def test_a_childs_peak_is_its_own(write_bench):
 def test_a_failing_child_raises(write_bench):
     with pytest.raises(subprocess.CalledProcessError):
         write_bench._python_once("-c", "raise SystemExit(3)")
+
+
+def test_stage_peaks_are_recorded_per_stage_with_the_mesh(write_bench, monkeypatch):
+    # the level-0 run stands in for level 4; the timed measurements are stubbed
+    for name in ("_cg_iterations", "_table2_l5_stages_s", "_oracle_setup_s", "_mesh_layer_s"):
+        monkeypatch.setattr(write_bench, name, dict)
+    monkeypatch.setattr(write_bench, "_calibration_s", float)
+    stages = write_bench._table2_stage_peaks_b_per_tri
+    monkeypatch.setattr(write_bench, "_table2_stage_peaks_b_per_tri", lambda: stages(0))
+    peaks = write_bench._in_process()["table2_l4_stage_peaks_b_per_tri"]
+    assert list(peaks) == ["build", "solve", "rt_average", "norms"]
+    # each stage's count starts before the build, so none reads below the
+    # mesh it keeps: the vertices alone are 225 x 16 B over 384 triangles
+    assert min(peaks.values()) > 225 * 16 / 384
 
 
 SOURCE = '''"""Module docstring

@@ -40,12 +40,16 @@ as ``estimate_cfa`` reads it) for the three deltas of ``oracle_cfa`` on a
 fresh n = 128 square, the fastest of 5.  ``mesh_layer_s`` times the mesh
 layer the same way, the fastest of 5 each: ``build_lshape(5)``,
 ``build_unit_square(128)`` and ``validate`` of that square.
-``mesh_build_peak_b_per_tri`` is the tracemalloc peak of ``build_lshape(4)``
-per triangle, with ``scipy.sparse`` imported first, as ``TestMemory`` counts
-it.  ``calibration_s`` is the fastest of 5 timings of a fixed numpy kernel
-that no fria code and no BLAS call enters (``np.sort`` of 2**21 seeded
-float64 values, then ``np.cumsum``), so that the series can tell a faster or
-slower machine from a change of code.  Then ``python -m fria.cli experiment
+``table2_l4_stage_peaks_b_per_tri`` is the tracemalloc peak of each stage of
+the level-4 ``table2_aniso`` run per triangle, each counted from before the
+mesh build, so the mesh and every array kept alive are included, with
+``scipy.sparse`` imported first, as ``TestMemory`` counts them: ``build``
+(``build_lshape(4)``; this was ``mesh_build_peak_b_per_tri``), ``solve``
+(``solve_diffusion``), ``rt_average`` and ``norms``
+(``flux_defect_norms``).  ``calibration_s`` is the fastest of 5 timings of
+a fixed numpy kernel that no fria code and no BLAS call enters (``np.sort``
+of 2**21 seeded float64 values, then ``np.cumsum``), so that the series can
+tell a faster or slower machine from a change of code.  Then ``python -m fria.cli experiment
 table2 --levels 5``, ``--levels 6``, ``--levels 7`` (6.29M triangles, about
 2.1 GB at peak) and ``--levels 5 --alpha diag:1,1`` (about 1169 line-CG
 iterations: the isotropic weight is the one the line relaxation suits
@@ -245,19 +249,30 @@ def _mesh_layer_s():
     }
 
 
-def _mesh_build_peak_b_per_tri():
-    """tracemalloc peak of ``build_lshape(4)`` per triangle, in this process."""
+def _table2_stage_peaks_b_per_tri(level=4):
+    """tracemalloc peak of each stage of the table2 run on ``build_lshape(level)``
+    per triangle, counted from before the build, in this process."""
     import scipy.sparse  # noqa: F401  (loaded before the count, as in TestMemory)
-    from fria import mesh
+    from fria import fem, flux, mesh, weights
 
+    alpha = weights.DiagonalWeight((1.0, 1e-4))
+    peaks = {}
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        m = mesh.build_lshape(4)
-        peak = tracemalloc.get_traced_memory()[1] - start
+
+        def stage(name, value):
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            return value
+
+        m = stage("build", mesh.build_lshape(level))
+        solution = stage("solve", fem.solve_diffusion(m, alpha, 1.0))
+        field = stage("rt_average", flux.rt_average(solution, alpha))
+        stage("norms", flux.flux_defect_norms(field, solution, alpha, 1.0))
     finally:
         tracemalloc.stop()
-    return peak / m.num_triangles
+    return {name: peak / m.num_triangles for name, peak in peaks.items()}
 
 
 def _calibration_s():
@@ -288,7 +303,7 @@ def _in_process():
         "table2_l5_stages_s": _table2_l5_stages_s(),
         "oracle_cfa_setup_s": _oracle_setup_s(),
         "mesh_layer_s": _mesh_layer_s(),
-        "mesh_build_peak_b_per_tri": _mesh_build_peak_b_per_tri(),
+        "table2_l4_stage_peaks_b_per_tri": _table2_stage_peaks_b_per_tri(),
         "calibration_s": _calibration_s(),
     }
 
