@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 _ARRAY_NAMES = frozenset(
     """
     manufactured P1Solution SolverError energy_norm solve_diffusion
-    RT0Field flux_defect_norms rt_average rt_divergence
+    RT0Field flux_defect_norms rt_average
     MajorantBreakdown evaluate_majorant run_refinement_experiment
     TriMesh build_lshape build_unit_square dump_mesh prolongation validate
     EigenEstimate estimate_cfa reference_energy_error
@@ -55,7 +55,7 @@ def __getattr__(name):
     if name not in _ARRAY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .fem import P1Solution, SolverError, energy_norm, solve_diffusion
-    from .flux import RT0Field, flux_defect_norms, rt_average, rt_divergence
+    from .flux import RT0Field, flux_defect_norms, rt_average
     from .majorant import MajorantBreakdown, evaluate_majorant, run_refinement_experiment
     # binds the module ``manufactured`` here as a side effect; ``from . import
     # manufactured`` would probe this function for it again, without end

@@ -22,10 +22,10 @@ from .weights import DiagonalWeight, DInterval, WeightError, parse_weight
 # --method name -> Friedrichs formula (the Maxwell arm too); also the argparse choices
 _FRIEDRICHS_FORMULAS = {"auto": friedrichs.best_bound, **friedrichs.FORMULAS}
 # bytes per triangle of the finest level at the experiment's peak, the solve
-# and the mesh build (tracemalloc: 166 and 165 at levels 4 and 5; the blocked
-# majorant norms stay below).  The peak RSS of --levels 7, interpreter
-# included, reads 190; the figure keeps about 4 % above it, as that peak is
-# bimodal from run to run.
+# (tracemalloc: 167 and 166 at levels 4 and 5; the mesh build, read from its
+# lattice, peaks at 73 and the blocked majorant norms stay below).  The peak
+# RSS of --levels 7, interpreter included, reads 190; the figure keeps about
+# 4 % above it, as that peak is bimodal from run to run.
 _EXPERIMENT_BYTES_PER_TRIANGLE = 200
 # bytes per triangle at the oracle's peak, the mesh build included (tracemalloc:
 # 328 at level 4, 331 at n = 128); the peak RSS of oracle cfa --domain lshape

@@ -154,7 +154,10 @@ def _scatter(sums, pattern):
     n = len(indptr) - 1
     data = np.empty(len(gather))
     for rows in row_blocks(len(data)):
-        np.take(sums, gather[rows], out=data[rows])
+        # every gather index lies in range by construction, so "clip" clips
+        # nothing; it writes into ``out`` directly, where the default "raise"
+        # copies through a buffer first
+        np.take(sums, gather[rows], out=data[rows], mode="clip")
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -164,26 +167,23 @@ def lumped_load(mesh, nodal_f):
     return np.bincount(mesh.triangles.ravel(), shares, mesh.num_vertices) * nodal_f
 
 
-def _line_layout(coords, along, pattern):
-    """``(width, lines, slot, link_slot, link)``: the grid lines of the points
-    ``coords`` along axis ``along``, and where a line factor reads a matrix on
-    ``pattern``.  Line j is column j of a (width, lines) grid: point i sits at
-    flat ``slot[i]``, and each point's coupling to the previous one on its
-    line, where the pattern holds one, at ``link_slot``, read from the matrix's
-    ``data`` at ``link``."""
-    order = np.lexsort((coords[:, along], coords[:, 1 - along]))
-    _, start, line = np.unique(coords[order, 1 - along], return_index=True, return_inverse=True)
-    within = np.arange(len(order)) - start[line]
-    width, lines = within.max(initial=-1) + 1, len(start)
-    slot = np.empty(len(order), dtype=np.int64)
-    slot[order] = within * lines + line
-    # an entry of row i is i's coupling to the next point on its line where
-    # its column is that point
-    succ = np.full(len(order), -1)
-    same = line[1:] == line[:-1]
-    succ[order[:-1][same]] = order[1:][same]
+def _line_layout(coords, n, along, pattern):
+    """``(width, lines, slot, link_slot, link)``: the grid lines along axis
+    ``along`` of the points ``coords``, which lie on the lattice (i, j) / n
+    strictly inside the unit square, and where a line factor reads a matrix on
+    ``pattern``.  Line j is column j of a (width, lines) grid with width =
+    lines = n - 1, one row per lattice position: point i sits at flat
+    ``slot[i]``, and each point's coupling to the previous one on its line,
+    where the pattern holds one, at ``link_slot``, read from the matrix's
+    ``data`` at ``link``.  Positions that hold no point are padding."""
+    width = lines = n - 1
+    position = np.rint(coords * n).astype(np.int32) - 1
+    slot = position[:, along] * lines + position[:, 1 - along]
     indptr, indices, _ = pattern
-    link = np.flatnonzero(np.repeat(succ, np.diff(indptr)) == indices)
+    # an entry of row i is i's coupling to the next point on its line where
+    # its column sits on i's line one grid row further
+    link = np.flatnonzero(np.take(slot, indices) == np.repeat(slot + lines, np.diff(indptr)))
+    slot = slot.astype(np.intp)  # every apply indexes with it
     return width, lines, slot, slot[indices[link]], link
 
 
@@ -191,7 +191,9 @@ def _line_factor(a, layout):
     """``apply(r)``: exact solves with the principal submatrices of ``a`` on
     the grid lines of ``layout``.  These blocks are tridiagonal, so the
     preconditioner is SPD whenever ``a`` is, and a nonpositive LDL^T pivot
-    proves ``a`` indefinite.  The padding of the grid has a unit diagonal."""
+    proves ``a`` indefinite.  The padding of the grid, before or after a
+    line's points, has a unit diagonal and no coupling, so the sweeps leave
+    each line's values as they would be without it."""
     width, lines, slot, link_slot, link = layout
     # low: each point's coupling to the previous one on its line, then L's entry
     piv, low = np.ones((width, lines)), np.zeros((width, lines))
@@ -249,7 +251,7 @@ class Dirichlet:
     def lines(self, along):
         if along not in self._lines:
             coords = self._mesh.vertices[self._mesh.interior_vertices]
-            self._lines[along] = _line_layout(coords, along, self.pattern)
+            self._lines[along] = _line_layout(coords, self._mesh.n, along, self.pattern)
         return self._lines[along]
 
     @cached_property

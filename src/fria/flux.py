@@ -12,8 +12,7 @@ the block, not by the mesh; a norm is one ``np.sum`` of its full density
 array, which gives the bits of the whole-mesh formulas.  The outward signs
 of a block's edges, and the lengths and normals of a block of edges, are
 formed with it (``mesh.edge_signs``, ``mesh.edge_geometry``); the mesh holds
-none of them.  ``rt_divergence``, which the certification path does not
-call, is one whole-mesh call.
+none of them.
 """
 
 from dataclasses import dataclass
@@ -61,11 +60,6 @@ def _signed_dofs(field, rows):
 
 def _divergence(field, rows):
     return _signed_dofs(field, rows).sum(axis=1) / field.mesh.areas[rows]
-
-
-def rt_divergence(field):
-    """Per-triangle divergence: outward-signed edge dofs over the area."""
-    return _divergence(field, slice(None))
 
 
 def residual_norm(field, f):

@@ -4,7 +4,11 @@ Both builders lay a uniform grid of square cells of step ``h = 1/n`` and
 split every cell along the diagonal from its lower-left to its upper-right
 corner, giving counterclockwise triangles.  The L-shape is the unit square
 with the closed lower-right quadrant removed; level ``L`` uses
-``n = 16 * 2**L`` and therefore ``384 * 4**L`` triangles.
+``n = 16 * 2**L`` and therefore ``384 * 4**L`` triangles.  Every table is
+read from the grid's lattice in closed form (``_grid_mesh``), with no sort.
+Every vertex lies on the lattice (i / n, j / n): ``prolongation`` and the
+grid lines of ``fem`` read a vertex's lattice position from its coordinates,
+so a mesh built another way must keep its vertices there to be solved on.
 
 Edge orientation convention: the unit normal of an interior edge
 (``edge_geometry``) points from the adjacent triangle with the lower index
@@ -136,72 +140,6 @@ def _edge_codes(triangles, nv):
     return codes
 
 
-def _finalize(vertices, triangles, domain, n, level):
-    """Edges, adjacency and areas of any counterclockwise triangle list, whose
-    order alone fixes the edge normals (``edge_flips``).  The areas use two (t, 3)
-    arrays of corner x and y: (t, 3, 2) corner rows and their strided parts take
-    twice the time."""
-    vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int32)
-    nv = len(vertices)
-    nt = len(triangles)
-
-    codes = _edge_codes(triangles, nv).ravel()
-    # flat index k is local edge k % 3 of triangle k // 3, so in the stable
-    # order an edge's first occurrence lies in its lower triangle
-    order = np.argsort(codes, kind="stable")
-    codes = np.take(codes, order)
-    # where each run of equal codes starts, and the end; built in place: small
-    # temporary arrays here raised the peak resident memory of repeated runs
-    # (likely numpy's reuse of small buffers keeping the heap top in use)
-    bounds = np.empty(3 * nt + 1, dtype=bool)
-    bounds[0] = bounds[-1] = True
-    np.not_equal(codes[1:], codes[:-1], out=bounds[1:-1])
-    bounds = np.flatnonzero(bounds)
-    start, counts = bounds[:-1], np.diff(bounds)
-    if counts.max() > 2:
-        raise MeshError("edge shared by more than two triangles")
-    edges = np.empty((len(start), 2), dtype=np.int32)
-    np.divmod(np.take(codes, start), nv, out=(edges[:, 0], edges[:, 1]))
-    inverse = np.empty(3 * nt, dtype=np.int32)
-    inverse[order] = np.repeat(np.arange(len(start), dtype=np.int32), counts)
-    first = np.take(order, start)
-    shared = np.flatnonzero(counts == 2)
-    later = np.take(order, np.take(start, shared) + 1)  # each shared edge in its higher triangle
-    del codes, order, start, bounds
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int32)
-    edge_tris[:, 0] = first // 3
-    edge_tris[shared, 1] = later // 3
-    # the lower triangle runs its edge j counterclockwise from corner j + 1 (flat
-    # index first + 1, or first - 2 for j = 2), so the lo -> hi normal points out
-    # of it unless that corner is hi
-    flip = np.take(triangles, first + 1 - 3 * (first % 3 == 2)) == edges[:, 1]
-    del first, later, shared
-
-    vx, vy = vertices[:, 0], vertices[:, 1]
-    x, y = np.take(vx, triangles), np.take(vy, triangles)
-    areas = _twice_signed_areas(x, y)
-    areas *= 0.5
-    del x, y
-
-    boundary_vertex = np.zeros(nv, dtype=bool)
-    boundary_vertex[edges[counts == 1].ravel()] = True
-
-    return TriMesh(
-        vertices=vertices,
-        triangles=triangles,
-        edges=edges,
-        edge_tris=edge_tris,
-        boundary_vertex=boundary_vertex,
-        domain=domain,
-        n=n,
-        level=level,
-        areas=areas,
-        edge_flips=flip,
-        tri_edges=inverse.reshape(nt, 3),
-    )
-
-
 def basis_gradients(mesh, rows):
     """(t, 3, 2) gradients of the P1 basis functions on the triangles ``rows``
     (a slice): the gradient of basis j is the edge from corner j + 1 to corner
@@ -247,29 +185,81 @@ def edge_geometry(mesh, rows):
     return lengths, normals
 
 
-def _build_grid(n, keep):
-    """``(vertices, triangles)`` of the cells ``(i, j)`` of an n x n grid with
-    ``keep[i, j]``, for ``_finalize``: the lattice and corner columns made
-    here are freed before it runs.
+def _columns(out, views, mask):
+    """``out`` with column k set to ``views[k][mask]``, one column at a time."""
+    for column, view in zip(out.T, views):
+        column[...] = view[mask]
+    return out
 
-    Vertices and cells are numbered row by row from y = 0 (``j`` outer,
-    ``i`` inner); each cell gives the triangles (a, b, c) and (a, c, d) of
-    its corners a, b, c, d counterclockwise from the lower left.
-    """
-    cells = keep.T
-    # a vertex is used when any of the (up to) four cells around it is kept
-    pad = np.pad(cells, 1)
-    used = pad[1:, 1:] | pad[1:, :-1] | pad[:-1, 1:] | pad[:-1, :-1]
-    index = np.full((n + 1, n + 1), -1, dtype=np.int32)
-    index[used] = np.arange(np.count_nonzero(used), dtype=np.int32)
-    vj, vi = np.nonzero(used)
-    vertices = np.column_stack((vi / n, vj / n))
-    cj, ci = np.nonzero(cells)
-    a = index[cj, ci]
-    b = index[cj, ci + 1]
-    c = index[cj + 1, ci + 1]
-    d = index[cj + 1, ci]
-    return vertices, np.column_stack((a, b, c, a, c, d)).reshape(-1, 3)
+
+def _grid_mesh(cells, domain, level):
+    """The mesh of the cells (i, j) of an n x n grid with ``cells[j, i]``, every
+    table read from the grid's lattice of points (i, j) / n.
+
+    Vertices and cells are numbered row by row from y = 0 (``j`` outer, ``i``
+    inner); cell c gives the triangles 2c = (a, b, c) and 2c + 1 = (a, c, d) of
+    its corners a, b, c, d counterclockwise from the lower left.  A point's
+    right, up and diagonal edges, in that order, are the edges of which it is
+    the lower vertex, ordered by their higher one, so numbering them point by
+    point lists the edges by their (lo, hi) pairs, as a sort of the pairs
+    would.  An edge's lower triangle lies in the cell below a horizontal edge
+    or left of a vertical one where there is such a cell, else in the cell
+    above or right of it; a diagonal's lies in its own cell.  The normal is
+    flipped where that triangle runs the edge hi -> lo: below a horizontal
+    edge, on a vertical edge with no cell left of it, and on every diagonal.
+
+    Every lattice is int32 or bool, and each table is written column by column
+    through boolean masks, so no index pairs are formed, and each lattice is
+    freed once read: the build peaks at 73 bytes per triangle at level 4, of
+    which the mesh keeps 66 (without the frees: 120)."""
+    n = len(cells)
+    # the triangles 2c and 2c + 1 of the cell whose lower-left corner is each
+    # point, -1 where none, padded by a ring so that a point's neighbours are views
+    t0 = np.full((n + 2, n + 2), -1, dtype=np.int32)
+    t0[1:-1, 1:-1][cells] = np.arange(0, 2 * np.count_nonzero(cells), 2, dtype=np.int32)
+    t1 = np.where(t0 >= 0, t0 + 1, -1)
+    at, below, left = np.s_[1:, 1:], np.s_[:-1, 1:], np.s_[1:, :-1]
+    # each point's right, up and diagonal edge: its triangles on the lower and upper side
+    lower = np.stack((t1[below], t0[left], t0[at]), axis=-1)
+    upper = np.stack((t0[at], t1[at], t1[at]), axis=-1)
+    exists = (lower >= 0) | (upper >= 0)
+    edge_flips = ((lower >= 0) ^ [False, True, False])[exists]
+    alone = lower < 0  # an edge's one triangle comes first
+    np.copyto(lower, upper, where=alone)
+    upper[alone] = -1
+    edge_tris = _columns(np.empty((np.count_nonzero(exists), 2), np.int32), (lower, upper), exists)
+    around = [t0[k] >= 0 for k in (at, below, left, np.s_[:-1, :-1])]  # the cells at each point
+    del t0, t1, lower, upper, alone
+    used = np.logical_or.reduce(around)
+    boundary = (used & ~np.logical_and.reduce(around))[used]
+    del around
+    vertex = np.full((n + 2, n + 2), -1, dtype=np.int32)
+    vertex[:-1, :-1][used] = np.arange(len(boundary), dtype=np.int32)
+    hi = np.stack((vertex[:-1, 1:], vertex[1:, :-1], vertex[1:, 1:]), axis=-1)
+    lo = np.broadcast_to(vertex[:-1, :-1, None], hi.shape)
+    edges = _columns(np.empty_like(edge_tris), (lo, hi), exists)
+    del lo, hi
+    a, b, c, d = vertex[:n, :n], vertex[:n, 1:-1], vertex[1:-1, 1:-1], vertex[1:-1, :n]
+    triangles = _columns(np.empty((np.count_nonzero(cells), 6), np.int32), (a, b, c, a, c, d), cells)
+    del vertex, a, b, c, d
+    ids = np.cumsum(exists, dtype=np.int32).reshape(exists.shape) - 1  # each edge's number
+    del exists
+    right, up, diagonal = np.moveaxis(ids[:n, :n], -1, 0)
+    # edge j of each triangle lies opposite its corner j
+    opposite = (ids[:n, 1:, 1], diagonal, right, ids[1:, :n, 0], up, diagonal)
+    tri_edges = _columns(np.empty_like(triangles), opposite, cells)
+    del ids, right, up, diagonal, opposite
+    grid = np.arange(n + 1) / n
+    vertices = _columns(np.empty((len(boundary), 2)), np.meshgrid(grid, grid, copy=False), used)
+    triangles, tri_edges = triangles.reshape(-1, 3), tri_edges.reshape(-1, 3)
+    areas = np.empty(len(triangles))
+    for rows in row_blocks(len(areas)):
+        corners = np.take(vertices, triangles[rows], axis=0)
+        areas[rows] = _twice_signed_areas(corners[..., 0], corners[..., 1])
+    areas *= 0.5
+    return TriMesh(
+        vertices, triangles, edges, edge_tris, boundary, domain, n, level, areas, edge_flips, tri_edges
+    )
 
 
 def triangle_count(domain, size):
@@ -292,16 +282,16 @@ def build_lshape(level):
     """Uniform L-shape triangulation with step 1/(16 * 2**level)."""
     triangle_count("lshape", level)
     n = 16 * 2**level
-    keep = np.ones((n, n), dtype=bool)
-    keep[n // 2 :, : n // 2] = False
-    return _finalize(*_build_grid(n, keep), "lshape", n, level)
+    cells = np.ones((n, n), dtype=bool)
+    cells[: n // 2, n // 2 :] = False  # the lower-right quadrant
+    return _grid_mesh(cells, "lshape", level)
 
 
 def build_unit_square(n):
     """Uniform unit-square triangulation with n x n cells."""
     n = int(n)
     triangle_count("square", n)
-    return _finalize(*_build_grid(n, np.ones((n, n), dtype=bool)), "square", n, n)
+    return _grid_mesh(np.ones((n, n), dtype=bool), "square", n)
 
 
 def prolongation(coarse, fine):

@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from fria.flux import rt_divergence
-from fria.mesh import _finalize, build_unit_square, edge_signs
+from fria.mesh import build_unit_square, edge_signs
+from reference_cellmaps import rt_divergence
+from reference_mesh import finalize
 
 # edge midpoints (barycentric points, weights summing to 1), exact for quadratics
 MIDPOINT3 = (
@@ -90,11 +91,11 @@ def rolled_square(n, first_corner):
     """The unit square mesh with every triangle listed from another corner."""
     square = build_unit_square(n)
     rolled = np.roll(square.triangles, first_corner, axis=1)
-    return _finalize(square.vertices, rolled, "square", n, n)
+    return finalize(square.vertices, rolled, "square", n, n)
 
 
 def tiny_triangle_soup():
     """200 disjoint counterclockwise right triangles with legs of 1e-7."""
     corners = np.random.default_rng(5).uniform(0.1, 0.9, size=(200, 1, 2))
     pts = (corners + np.array([[0.0, 0.0], [1e-7, 0.0], [0.0, 1e-7]])).reshape(-1, 2)
-    return _finalize(pts, np.arange(len(pts)).reshape(-1, 3), "square", 1, 1)
+    return finalize(pts, np.arange(len(pts)).reshape(-1, 3), "square", 1, 1)

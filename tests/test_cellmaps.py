@@ -44,7 +44,6 @@ def test_flux_maps_keep_the_bits_of_the_whole_mesh_formulas(solved, alpha):
     s = solutions[alpha]
     field = flux.rt_average(s, alpha)
     assert np.array_equal(field.dofs, reference.rt_average(s, alpha).dofs)
-    assert np.array_equal(flux.rt_divergence(field), reference.rt_divergence(field))
     assert flux.residual_norm(field, 1.0) == reference.residual_norm(field, 1.0)
     assert flux.defect_norm(field, s, alpha) == reference.defect_norm(field, s, alpha)
 

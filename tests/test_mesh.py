@@ -18,6 +18,7 @@ from fria.mesh import (
     validate,
 )
 from fria.weights import DiagonalWeight, FullWeight
+import reference_mesh
 from reference_quadrature import rolled_square, tiny_triangle_soup
 
 DIGESTS = Path(__file__).with_name("mesh_digests.json")
@@ -28,6 +29,9 @@ DIGEST_MESHES = (
     + [("square", n) for n in (1, 2, 3, 8, 33, 64, 128)]
     + [("rolled8", 1), ("rolled8", 2), ("soup", 200)]
 )
+# squares whose lattice tables are checked against the edge sort's: the
+# smallest, odd and even sizes, and one of more than one block of rows
+SORT_SQUARES = (1, 2, 3, 8, 33, 100, 128)
 # meshes whose edge table must put each normal and sign on the lower triangle
 ORIENTATION_MESHES = {
     "lshape0": lambda cache: cache("lshape", 0),
@@ -152,12 +156,13 @@ class TestMemory:
         # 101; the basis gradients and float64 edge signs too: 173; int64
         # tables too: 221)
         assert resident / nt <= 68
-        # the edge sort peaks at 165 in all, with the grid's lattice and corner
-        # columns freed first; the edge lengths and normals built here stayed
-        # below it (gradients and signs built: 223; the lattice kept alive too:
-        # 251; np.unique's sort with its index, inverse and counts, and a masked
+        # the tables read from the lattice peak at 73 in all, the int32 and bool
+        # lattices beside the kept tables (the edge sort of 3 nt int64 codes
+        # before: 165, with the grid's lattice and corner columns freed first;
+        # gradients and signs built: 223; the lattice kept alive too: 251;
+        # np.unique's sort with its index, inverse and counts, and a masked
         # normal flip: 263; int64 tables: 322)
-        assert build_peak / nt <= 168
+        assert build_peak / nt <= 76
         # assembly on the interior pattern peaks at 92, the entries summed and
         # the CSR values gathered per block (the values gathered at once: 113;
         # whole-mesh entries too: 118; the Neumann COO and its two-step slice:
@@ -249,6 +254,21 @@ class TestStructure:
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.edge_tris, b.edge_tris)
+
+    @pytest.mark.parametrize(
+        "domain, k", [("lshape", k) for k in range(5)] + [("square", n) for n in SORT_SQUARES]
+    )
+    def test_lattice_tables_are_the_edge_sort_tables(self, mesh_cache, domain, k):
+        # the builders read every table from the grid's lattice; the general
+        # builder sorts the triangles' vertex pairs into the same tables
+        m = mesh_cache(domain, k)
+        reference = reference_mesh.lshape(k) if domain == "lshape" else reference_mesh.unit_square(k)
+        for f in dataclasses.fields(m):
+            got, want = getattr(m, f.name), getattr(reference, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
 
     @pytest.mark.parametrize("name", ORIENTATION_MESHES)
     def test_edge_adjacency_orientation(self, mesh_cache, name):

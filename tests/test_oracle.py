@@ -128,13 +128,13 @@ class TestEigenEstimate:
 
     def test_one_chain_per_mesh(self, monkeypatch):
         m = build_unit_square(64)
-        built, build_grid = [], mesh._build_grid
+        built, grid_mesh = [], mesh._grid_mesh
 
-        def counted(n, *args):
-            built.append(n)
-            return build_grid(n, *args)
+        def counted(cells, *args):
+            built.append(len(cells))
+            return grid_mesh(cells, *args)
 
-        monkeypatch.setattr(mesh, "_build_grid", counted)
+        monkeypatch.setattr(mesh, "_grid_mesh", counted)
         for delta in (1e-2, 1.0, 1e2):
             estimate_cfa(m, DiagonalWeight((1.0, delta)))
         assert built == [32, 16]
